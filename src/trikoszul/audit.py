@@ -104,6 +104,8 @@ def run_audit(cfg: GeneratorConfig, count: int, field=QQ, jobs: int = 1) -> dict
 
     Returns a deterministic findings document; per-ideal errors are logged,
     never fatal."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     seeds = [cfg.seed + k for k in range(count)]
     if jobs > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -141,6 +141,8 @@ def bass_series(cls: KoszulClass, n: int, m: int) -> RationalSeries:
 
 def expand_series(rs: RationalSeries, terms: int) -> list[int]:
     """Coefficients mu_0..mu_terms of the power-series expansion."""
+    if terms < 0:
+        raise ValueError(f"the number of terms must be at least 0, got {terms}")
     num = list(rs.numerator)
     den = list(rs.denominator)
     out = []
@@ -257,6 +259,8 @@ def classify(
     the canonical-module Betti oracle at depth two: the second coefficient
     must pick the same side of the T / H(3,0) split or the ideal is
     reported Unclassified."""
+    if mu_terms < 0:
+        raise ValueError(f"mu_terms must be at least 0, got {mu_terms}")
     if not is_primary_artinian(ideal):
         raise NotArtinianError(
             "classification requires an m-primary monomial ideal inside m^2"

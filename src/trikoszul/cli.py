@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, resolve, homology, bass, corpus, audit, family.
-Exit codes: 0 success/classified, 2 Unclassified, 1 input or corpus error.
+Exit codes: 0 success/classified, 2 Unclassified, 1 input or corpus error;
+usage errors (an unknown option, a bad option value, no subcommand) are input
+errors and exit 1 with argparse's usage and error lines; --help exits 0.
 Identical invocations (including seeds) produce byte-identical JSON output
 up to the timings field.
 """
@@ -18,7 +20,6 @@ from .classify import (
     bass_series,
     canonical_betti_oracle,
     classify,
-    expand_series,
     family_bclass,
     family_staircase,
     family_tnongen,
@@ -238,24 +239,24 @@ def _cmd_homology(args) -> int:
 def _cmd_bass(args) -> int:
     try:
         ideal = parse_ideal(args.ideal)
-        report = classify(ideal, field=get_field(args.field), dim_cap=args.dim_cap)
+        field = get_field(args.field)
+        report = classify(ideal, field=field, dim_cap=args.dim_cap, mu_terms=args.terms)
+        oracle = (
+            canonical_betti_oracle(ideal, args.oracle, field, args.dim_cap)
+            if args.oracle >= 0
+            else None
+        )
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
     print(f"ideal: {ideal}")
     print(f"class: {report.cls.display()}")
     if report.bass is not None:
         print(f"bass series: {_series_str(report.bass)}")
-        print(
-            "mu expansion: "
-            + ", ".join(str(v) for v in expand_series(report.bass, args.terms))
-        )
+        print("mu expansion: " + ", ".join(str(v) for v in report.mu))
     else:
         print("bass series: none tabulated for this class")
-    if args.oracle >= 0:
-        vals = canonical_betti_oracle(
-            ideal, args.oracle, get_field(args.field), args.dim_cap
-        )
-        print("betti oracle (canonical module): " + ", ".join(str(v) for v in vals))
+    if oracle is not None:
+        print("betti oracle (canonical module): " + ", ".join(str(v) for v in oracle))
     return 2 if report.cls.tag == "Unclassified" else 0
 
 
@@ -291,13 +292,16 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        max_exponent=args.max_exponent,
-        n_range=(args.n_min, args.n_max),
-        generic_only=args.generic_only,
-    )
-    doc = run_audit(cfg, args.count, field=get_field(args.field), jobs=args.jobs)
+    try:
+        cfg = GeneratorConfig(
+            seed=args.seed,
+            max_exponent=args.max_exponent,
+            n_range=(args.n_min, args.n_max),
+            generic_only=args.generic_only,
+        )
+        doc = run_audit(cfg, args.count, field=get_field(args.field), jobs=args.jobs)
+    except _INPUT_ERRORS as exc:
+        return _fail(str(exc))
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -415,7 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage and error lines; a usage error is bad input
+        return 1 if exc.code == 2 else exc.code
     return args.func(args)
 
 

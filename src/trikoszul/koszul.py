@@ -8,6 +8,14 @@ is assembled from the multiplication tables of x, y, z.  Every graded piece
 of the complex in a fixed multidegree has dimension at most three, so all
 rank and kernel computations split into tiny exact blocks.
 
+build_homology_algebra eliminates d2 once per K2 multidegree block.  Each
+block's kernel gives rank(d2) (columns minus kernel size) and the A2
+representatives; the canonical A1 generator of that multidegree, if any, is
+checked against im(d2) in the same elimination.  rank(d3) counts the d3
+columns seeded into the class solver (each sits alone in its multidegree),
+rank(d1) counts the distinct rows d1 hits (each column is one unit entry),
+and the dims follow by rank-nullity; homology_dims returns those dims.
+
 The wedge components are ordered e1, e2, e3; e12, e13, e23; e123, and the
 differentials follow
 
@@ -165,39 +173,20 @@ def build_koszul_model(
     return model
 
 
-def _group_by_multidegree(model: KoszulModel, level: int) -> dict[Monomial, list[int]]:
+def _d2_blocks(model: KoszulModel):
+    """The K2 multidegree blocks in (total degree, multidegree) order, each
+    as (multidegree, K2 indices, their d2 columns)."""
     groups: dict[Monomial, list[int]] = {}
-    for idx in range(model.level_size(level)):
-        groups.setdefault(model.multidegree(level, idx), []).append(idx)
-    return groups
-
-
-def _rank_map(model, columns: dict[int, dict], groups) -> dict[Monomial, int]:
-    field = model.field
-    ranks: dict[Monomial, int] = {}
-    for mu, idxs in groups.items():
-        ech = Echelon(field)
-        for idx in idxs:
-            col = columns.get(idx)
-            if col:
-                ech.insert(col)
-        if ech.rank:
-            ranks[mu] = ech.rank
-    return ranks
+    for idx in range(model.level_size(2)):
+        groups.setdefault(model.multidegree(2, idx), []).append(idx)
+    for mu in sorted(groups, key=lambda m: (m.degree(), m)):
+        idxs = groups[mu]
+        yield mu, idxs, [model.d2.get(idx, {}) for idx in idxs]
 
 
 def homology_dims(model: KoszulModel) -> tuple[int, int, int]:
-    """(dim A1, dim A2, dim A3) by per-multidegree rank computations."""
-    g1 = _group_by_multidegree(model, 1)
-    g2 = _group_by_multidegree(model, 2)
-    g3 = _group_by_multidegree(model, 3)
-    r1 = _rank_map(model, model.d1, g1)
-    r2 = _rank_map(model, model.d2, g2)
-    r3 = _rank_map(model, model.d3, g3)
-    a1 = sum(len(idxs) - r1.get(mu, 0) - r2.get(mu, 0) for mu, idxs in g1.items())
-    a2 = sum(len(idxs) - r2.get(mu, 0) - r3.get(mu, 0) for mu, idxs in g2.items())
-    a3 = sum(len(idxs) - r3.get(mu, 0) for mu, idxs in g3.items())
-    return (a1, a2, a3)
+    """(dim A1, dim A2, dim A3), as computed by build_homology_algebra."""
+    return build_homology_algebra(model).dims
 
 
 def canonical_a1_generators(ideal: MonomialIdeal) -> list[tuple[Monomial, int]]:
@@ -214,8 +203,7 @@ def canonical_a1_generators(ideal: MonomialIdeal) -> list[tuple[Monomial, int]]:
             comp = 1
         else:
             comp = 2
-        var = [Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)][comp]
-        out.append((g.divide_by(var), comp))
+        out.append((g.divide_by(K1_DEGREES[comp]), comp))
     return out
 
 
@@ -305,27 +293,27 @@ def build_homology_algebra(model: KoszulModel) -> HomologyAlgebra:
     dim = model.dim
     labels = canonical_a1_generators(model.ideal)
     a1 = [{comp * dim + model.r_basis.index[mono]: field.one} for mono, comp in labels]
-
-    # the canonical generators must be independent modulo im(d2)
-    check = Echelon(field)
-    for col in model.d2.values():
-        check.insert(col)
-    base_rank = check.rank
-    for vec in a1:
-        check.insert(vec)
-    if check.rank - base_rank != len(a1):
-        raise RuntimeError("canonical A1 generators are dependent mod im(d2)")
+    # canonical generator k is homogeneous of multidegree generators[k]; the
+    # generators are distinct, so independence mod im(d2) splits over blocks
+    # (a pure power meets no K2 block: im(d2) is zero in its multidegree)
+    a1_at = {g: k for k, g in enumerate(model.ideal.generators)}
 
     # class solver: boundaries seeded, A2 basis vectors tagged
     solver = SpanWithCoords(field)
-    for u in sorted(model.d3):
-        solver.seed(model.d3[u])
+    rank_d3 = sum(solver.seed(model.d3[u]) for u in sorted(model.d3))
+    rank_d2 = 0
     a2: list[dict[int, object]] = []
-    groups2 = _group_by_multidegree(model, 2)
-    for mu in sorted(groups2, key=lambda m: (m.degree(), m)):
-        idxs = groups2[mu]
-        cols = [model.d2.get(idx, {}) for idx in idxs]
-        for combo in kernel_basis(cols, field):
+    for mu, idxs, cols in _d2_blocks(model):
+        k = a1_at.get(mu)
+        if k is not None:
+            # appended last, the generator's cycle leaves the d2 kernel as it
+            # is and adds a combination of its own iff it lies in im(d2)
+            cols.append(a1[k])
+        kernel = kernel_basis(cols, field)
+        if k is not None and kernel and len(idxs) in kernel[-1]:
+            raise RuntimeError("canonical A1 generators are dependent mod im(d2)")
+        rank_d2 += len(idxs) - len(kernel)
+        for combo in kernel:
             vec = {idxs[pos]: s for pos, s in combo.items()}
             if solver.add_tagged(vec, len(a2)):
                 a2.append(vec)
@@ -359,13 +347,19 @@ def build_homology_algebra(model: KoszulModel) -> HomologyAlgebra:
                     raise RuntimeError("A1*A2 product is not a cycle")
                 coords[a3_pos[u]] = s
             mult_12[(i, b)] = coords
+    rank_d1 = len({row for col in model.d1.values() for row in col})
     return HomologyAlgebra(
         model=model,
         a1=a1,
         a1_labels=labels,
         a2=a2,
         a3=a3,
-        dims=homology_dims(model),
+        # rank-nullity
+        dims=(
+            3 * dim - rank_d1 - rank_d2,
+            3 * dim - rank_d2 - rank_d3,
+            dim - rank_d3,
+        ),
         mult_11=mult_11,
         mult_12=mult_12,
     )

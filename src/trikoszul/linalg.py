@@ -52,13 +52,6 @@ class Echelon:
         return [self.pivots[k] for k in sorted(self.pivots)]
 
 
-def rank_of(vectors, field) -> int:
-    ech = Echelon(field)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
-
-
 def kernel_basis(columns: list[dict], field) -> list[dict]:
     """Kernel of the matrix with the given sparse columns.
 

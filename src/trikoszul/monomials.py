@@ -57,15 +57,10 @@ class Monomial(NamedTuple):
 
 
 UNIT = Monomial(0, 0, 0)
-VARIABLES = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
 
 def lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return Monomial(max(m1.ax, m2.ax), max(m1.ay, m2.ay), max(m1.az, m2.az))
-
-
-def gcd(m1: Monomial, m2: Monomial) -> Monomial:
-    return Monomial(min(m1.ax, m2.ax), min(m1.ay, m2.ay), min(m1.az, m2.az))
 
 
 def divides(m1: Monomial, m2: Monomial) -> bool:

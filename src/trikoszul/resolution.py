@@ -115,10 +115,6 @@ class SyzygyVector:
         return ideal.contains(self.mono_j) and ideal.contains(self.mono_i)
 
 
-def syzygy_multidegree(ideal: MonomialIdeal, syz: SyzygyVector) -> Monomial:
-    return lcm(ideal.generators[syz.i - 1], ideal.generators[syz.j - 1])
-
-
 def second_syzygy(ideal: MonomialIdeal, i: int, j: int) -> SyzygyVector:
     """Pairwise syzygy for 1 <= i < j <= n, with the signs as defined."""
     n = ideal.n

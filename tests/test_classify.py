@@ -1,5 +1,6 @@
 import pytest
 
+from trikoszul.audit import run_audit
 from trikoszul.classify import (
     KoszulClass,
     RationalSeries,
@@ -13,6 +14,7 @@ from trikoszul.classify import (
     family_tnongen,
 )
 from trikoszul.errors import FamilyConstraintError, NonGenericError, NotArtinianError
+from trikoszul.generators import GeneratorConfig
 from trikoszul.monomials import format_ideal, is_generic, parse_ideal
 from trikoszul.resolution import build_resolution, ordered_minimal_second_syzygies
 
@@ -120,6 +122,15 @@ def test_expand_series_discriminates_b_from_h11():
 def test_expand_series_constant():
     rs = RationalSeries((3,), (1,))
     assert expand_series(rs, 4) == [3, 0, 0, 0, 0]
+
+
+def test_negative_term_counts_rejected(ex31):
+    with pytest.raises(ValueError):
+        expand_series(RationalSeries((3,), (1,)), -1)
+    with pytest.raises(ValueError):
+        classify(ex31, mu_terms=-3)
+    with pytest.raises(ValueError):
+        run_audit(GeneratorConfig(seed=1), -1)
 
 
 def test_rational_series_requires_unit_constant_term():

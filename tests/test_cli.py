@@ -61,6 +61,49 @@ def test_classify_prime_field(capsys):
     assert json.loads(out)["class"]["tag"] == "B"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "x^2, y^2, z^2", "--field", "bogus"],
+        ["classify", "x^2, y^2, z^2", "--mu-terms", "abc"],
+        ["classify", "x^2, y^2, z^2", "--no-such-flag"],
+        [],
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    # 2 is reserved for Unclassified
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0
+    assert "usage:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "x^2, y^2, z^2", "--mu-terms", "-3"],
+        ["bass", EX31, "--terms", "-2"],
+        ["bass", "x^2, y^2, z^2", "--terms", "-2"],
+        ["bass", EX31, "--oracle", "9"],
+        ["audit", "--max-exponent", "1"],
+        ["audit", "--n-min", "2"],
+        ["audit", "--count", "-1"],
+    ],
+)
+def test_bad_value_is_a_one_line_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_classify_unclassified_exit_code(capsys, monkeypatch):
     import trikoszul.cli as cli_mod
     from trikoszul.classify import classify as real_classify
@@ -105,6 +148,15 @@ def test_homology_tables(capsys):
     assert "dims: A1=5 A2=6 A3=2" in out
     assert "p = rank(A1^2) = 1" in out
     assert "A1 * A1" in out and "A1 * A2" in out
+    assert (
+        "A2 basis:\n"
+        "  A2_0 = x^2*e12\n"
+        "  A2_1 = x*z^2*e13\n"
+        "  A2_2 = -x*z^2*e12 + x*y*z*e13\n"
+        "  A2_3 = x*y^2*e12\n"
+        "  A2_4 = x^2*z*e13\n"
+        "  A2_5 = y^2*z^2*e23\n"
+    ) in out
 
 
 # ---------------------------------------------------------------------- bass

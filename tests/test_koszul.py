@@ -70,9 +70,12 @@ def test_model_d3_follows_mapping_table(msquare):
 
 
 def test_homology_dims_examples(ex31, ex42, ci2):
-    assert homology_dims(build_koszul_model(ex31)) == (5, 6, 2)
-    assert homology_dims(build_koszul_model(ex42)) == (6, 11, 6)
-    assert homology_dims(build_koszul_model(ci2)) == (3, 3, 1)
+    for field in (QQ, GF32003):
+        for ideal, dims in ((ex31, (5, 6, 2)), (ex42, (6, 11, 6)), (ci2, (3, 3, 1))):
+            model = build_koszul_model(ideal, field)
+            alg = build_homology_algebra(model)
+            assert homology_dims(model) == dims
+            assert alg.dims == dims == (len(alg.a1), len(alg.a2), len(alg.a3))
 
 
 # ---------------------------------------------------------- A1 generators
@@ -115,6 +118,18 @@ def test_canonical_a1_generators_independent_mod_boundaries(ex31, ex42, staircas
         alg = build_homology_algebra(model)  # raises if dependent
         assert len(alg.a1) == ideal.n
         assert alg.dims[0] == ideal.n
+
+
+def test_a1_generator_in_boundaries_raises(ex31):
+    # overwrite a d2 column in a generator's multidegree with that generator's
+    # A1 cycle, which then bounds
+    model = build_koszul_model(ex31)
+    k, g = next((k, g) for k, g in enumerate(ex31.generators) if len(g.support()) >= 2)
+    mono, comp = canonical_a1_generators(ex31)[k]
+    block = [i for i in range(model.level_size(2)) if model.multidegree(2, i) == g]
+    model.d2[block[0]] = {comp * model.dim + model.r_basis.index[mono]: model.field.one}
+    with pytest.raises(RuntimeError, match="dependent mod im"):
+        build_homology_algebra(model)
 
 
 # ------------------------------------------------------------------- ranks
