@@ -10,7 +10,7 @@ structure theorems and must surface loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import FamilyConstraintError, NonGenericError, NotArtinianError
 from .fields import QQ
@@ -19,7 +19,6 @@ from .invariants import (
     build_canonical_presentation,
     count_p_structural,
     dependent_row_count_generic,
-    graded_minimal_generators,
     graded_syzygy_minimal_generators,
     presentation_minimal_generators,
     _neg,
@@ -280,31 +279,6 @@ def classify(
     bass = bass_mu0_mu1(res, ideal, field, dim_cap)
     rhat = bass.rhat
 
-    if is_complete_intersection(ideal):
-        cls = KoszulClass.c3()
-        mu = [m] + [0] * mu_terms
-        report = InvariantReport(
-            ideal=ideal,
-            n=n,
-            m=m,
-            l=n - 1,
-            p=p_oracle,
-            q=q,
-            r=r_oracle,
-            rhat=rhat,
-            generic=generic,
-            golod=False,
-            cls=cls,
-            mu=mu[: mu_terms + 1],
-            betti=res.betti,
-            dim=std.dim,
-            bass=None,
-            diagnostics=("complete intersection: no Bass series is tabulated",),
-        )
-        if with_audit:
-            report.audit = audit_conjectures(ideal, report, res)
-        return report
-
     if alg.dims != (n, m + n - 1, m):
         diagnostics.append(
             f"homology dims {alg.dims} disagree with resolution ranks {(n, m + n - 1, m)}"
@@ -317,9 +291,12 @@ def classify(
         diagnostics.append(
             f"dependent-row count {rhat} disagrees with rank(delta_2) = {r_oracle}"
         )
+    notes: list[str] = []
     if diagnostics:
         cls = KoszulClass.unclassified("; ".join(diagnostics))
-        notes: list[str] = []
+    elif is_complete_intersection(ideal):
+        cls = KoszulClass.c3()
+        notes.append("complete intersection: no Bass series is tabulated")
     else:
         cls, notes = _dispatch(p_oracle, q, r_oracle, alg)
         if deep_audit and cls.tag in ("T", "H") and (p_oracle, q, r_oracle) == (3, 0, 0):
@@ -338,6 +315,8 @@ def classify(
     if cls.tag in ("T", "B", "G", "H"):
         series = bass_series(cls, n, m)
         mu = expand_series(series, mu_terms)
+    elif cls.tag == "C3":
+        mu = [m] + [0] * mu_terms
     else:
         mu = [bass.mu0, bass.mu1]
     report = InvariantReport(
@@ -465,7 +444,7 @@ def _compclass_predict(ideal: MonomialIdeal) -> tuple[int | None, str | None]:
 
 
 def audit_conjectures(
-    ideal: MonomialIdeal, report: InvariantReport, res: Resolution | None = None
+    ideal: MonomialIdeal, report: InvariantReport, res: Resolution
 ) -> AuditRecord:
     """Check the two resolution conjectures on a classified ideal.
 
@@ -473,8 +452,6 @@ def audit_conjectures(
     (b) mu^1 equals m+n-1 minus the count of f3 entries in the ideal;
     (c) the class predicted by the generator-shape pattern matches.
     Failures are recorded, never raised."""
-    if res is None:
-        res = resolution_for(ideal)
     f3 = res.f3
     in_ideal = []
     for (r, t) in sorted(f3.entries):

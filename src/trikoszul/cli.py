@@ -17,7 +17,6 @@ import time
 
 from .audit import run_audit
 from .classify import (
-    bass_series,
     canonical_betti_oracle,
     classify,
     family_bclass,
@@ -41,7 +40,7 @@ from .koszul import (
     rank_a1_squared,
     rank_delta2,
 )
-from .monomials import VAR_NAMES, Monomial, parse_ideal
+from .monomials import Monomial, parse_ideal
 from .resolution import resolution_for, verify_resolution
 
 _INPUT_ERRORS = (
@@ -344,12 +343,6 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--field", default="qq", choices=("qq", "gf32003"))
-    parser.add_argument("--dim-cap", type=int, default=20000)
-    parser.add_argument("--json", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trikoszul",
@@ -358,40 +351,56 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared options; each subcommand takes only the ones it reads
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default="qq", choices=("qq", "gf32003"))
+    dim_cap = argparse.ArgumentParser(add_help=False)
+    dim_cap.add_argument("--dim-cap", type=int, default=20000)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classify", help="classify an ideal and print the report")
+    p = sub.add_parser(
+        "classify",
+        parents=[field, dim_cap, as_json],
+        help="classify an ideal and print the report",
+    )
     p.add_argument("ideal", help='e.g. "x^3, x^2*y, y^3, z^3, x^2*z^2"')
     p.add_argument("--mu-terms", type=int, default=5)
-    _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("resolve", help="print the minimal free resolution")
     p.add_argument("ideal")
     p.add_argument("--format", default="text", choices=("text", "json"))
-    _add_common(p)
     p.set_defaults(func=_cmd_resolve)
 
-    p = sub.add_parser("homology", help="Koszul homology dims and ranks")
+    p = sub.add_parser(
+        "homology", parents=[field, dim_cap], help="Koszul homology dims and ranks"
+    )
     p.add_argument("ideal")
     p.add_argument("--show-tables", action="store_true")
-    _add_common(p)
     p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("bass", help="Bass series and expansion")
+    p = sub.add_parser(
+        "bass", parents=[field, dim_cap], help="Bass series and expansion"
+    )
     p.add_argument("ideal")
     p.add_argument("--terms", type=int, default=6)
     p.add_argument(
         "--oracle", type=int, default=-1, help="also run the Betti oracle to this depth"
     )
-    _add_common(p)
     p.set_defaults(func=_cmd_bass)
 
-    p = sub.add_parser("corpus", help="run the regression corpus")
+    p = sub.add_parser(
+        "corpus", parents=[field, as_json], help="run the regression corpus"
+    )
     p.add_argument("path", nargs="?", default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_corpus)
 
-    p = sub.add_parser("audit", help="classify seeded random ideals, audit conjectures")
+    p = sub.add_parser(
+        "audit",
+        parents=[field],
+        help="classify seeded random ideals, audit conjectures",
+    )
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-exponent", type=int, default=6)
@@ -400,10 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic-only", action="store_true")
     p.add_argument("--jobs", type=int, default=1, help="bounded worker pool size")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("family", help="emit a theorem-family ideal")
+    p = sub.add_parser(
+        "family", parents=[field, dim_cap, as_json], help="emit a theorem-family ideal"
+    )
     p.add_argument("kind", choices=("bclass", "tnongen", "staircase"))
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -413,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blist", default="", help="bclass: comma list of b_i")
     p.add_argument("--pairs", default="", help="tnongen/staircase: a:b,c:d,...")
     p.add_argument("--classify", action="store_true")
-    _add_common(p)
     p.set_defaults(func=_cmd_family)
     return parser
 

@@ -3,9 +3,13 @@ and the dependent-row count behind the first Bass number.
 
 The dependent-row count is computed as an exact Nakayama count: the minimal
 number of generators of the image of the transposed last differential over
-the Artinian quotient.  All module computations here split by multidegree,
-where every component is a vector space of dimension at most the rank of the
-target free module, so exact arithmetic stays cheap.
+the Artinian quotient.  That image is spanned by the given relation columns,
+so a column can only be a minimal generator at its own degree G, and there
+(m*N)_G is spanned by the monomial multiples of the columns of lower degree:
+the count tests each distinct column degree once against those multiples
+and visits no other degree.  All module computations here split by
+multidegree, where every component is a vector space of dimension at most
+the rank of the target free module, so exact arithmetic stays cheap.
 """
 
 from __future__ import annotations
@@ -88,51 +92,48 @@ def _degree_sort_key(deg: Degree):
     return (deg[0] + deg[1] + deg[2], deg)
 
 
+def _alive(mu: Degree, d: Degree, std_index: dict) -> bool:
+    """Whether a free coordinate of degree d survives at degree mu, that is,
+    whether its monomial mu - d is a standard monomial of R."""
+    return (mu[0] - d[0], mu[1] - d[1], mu[2] - d[2]) in std_index
+
+
 def graded_minimal_generators(
     free_degrees: list[Degree],
     generators: list[tuple[Degree, dict[int, object]]],
     std_index: dict,
     field,
 ) -> list[tuple[Degree, dict[int, object]]]:
-    """Minimal generators of the submodule spanned by homogeneous vectors.
+    """Minimal generators of the submodule N spanned by homogeneous vectors.
 
     Vectors are (degree, coeffs) with coeffs keyed by the free-module
-    coordinate; the monomial on coordinate t is implied as degree - d_t.
-    Walking multidegrees in increasing total degree, a generator is minimal
-    exactly when it extends the span of the variable-shifted components
-    below it -- the graded Nakayama count.
+    coordinate; the monomial on coordinate t is implied as degree - d_t, and
+    a coordinate whose monomial lies in the ideal is dropped.  The given
+    vectors generate N, so (m*N)_G is spanned by the multiples
+    x^(G - deg h) * h of the vectors h with deg h <= G componentwise and
+    deg h != G.  A vector of degree G is therefore a minimal generator
+    exactly when it extends the span of those multiples and of the vectors
+    of degree G listed before it: the graded Nakayama test, made once per
+    generator degree.  Returned in increasing total degree, input order
+    within a degree, each restricted to the coordinates alive at its degree.
     """
-    std_monos = std_index
-
-    def coordinate_alive(mu: Degree, t: int) -> bool:
-        d = free_degrees[t]
-        m = (mu[0] - d[0], mu[1] - d[1], mu[2] - d[2])
-        return m[0] >= 0 and m[1] >= 0 and m[2] >= 0 and m in std_monos
-
-    gens_at: dict[Degree, list[tuple[Degree, dict]]] = {}
-    cands = set()
-    for g in generators:
-        gens_at.setdefault(g[0], []).append(g)
-        gd = g[0]
-        for s in std_monos:
-            cands.add((gd[0] + s[0], gd[1] + s[1], gd[2] + s[2]))
-    spans: dict[Degree, Echelon] = {}
     minimal = []
-    for mu in sorted(cands, key=_degree_sort_key):
+    for top in sorted({deg for deg, _ in generators}, key=_degree_sort_key):
+        below = [
+            g
+            for g in generators
+            if g[0] != top and all(a <= b for a, b in zip(g[0], top))
+        ]
+        at_top = [g for g in generators if g[0] == top]
         ech = Echelon(field)
-        for var in range(3):
-            below = spans.get(_shift(mu, var))
-            if below is None:
-                continue
-            for row in below.basis():
-                shifted = {t: s for t, s in row.items() if coordinate_alive(mu, t)}
-                if shifted:
-                    ech.insert(shifted)
-        for g in gens_at.get(mu, []):
-            coeffs = {t: s for t, s in g[1].items() if coordinate_alive(mu, t)}
-            if coeffs and ech.insert(coeffs):
-                minimal.append((mu, coeffs))
-        spans[mu] = ech
+        for deg, coeffs in below + at_top:
+            alive = {
+                t: s
+                for t, s in coeffs.items()
+                if _alive(top, free_degrees[t], std_index)
+            }
+            if ech.insert(alive) and deg == top:
+                minimal.append((top, alive))
     return minimal
 
 
@@ -146,20 +147,11 @@ def graded_syzygy_minimal_generators(
     element of a new free module onto min_gens[i].
 
     Kernels are computed per multidegree (the map is homogeneous), and the
-    Nakayama walk over shifted kernels isolates the minimal generators.
+    Nakayama walk over shifted kernels isolates the minimal generators.  A
+    kernel generator can sit at any degree the min_gens reach, not only at
+    one of their own degrees, so the walk visits all of them.
     """
     gen_degrees = [g[0] for g in min_gens]
-
-    def source_alive(mu: Degree, i: int) -> bool:
-        d = gen_degrees[i]
-        m = (mu[0] - d[0], mu[1] - d[1], mu[2] - d[2])
-        return m[0] >= 0 and m[1] >= 0 and m[2] >= 0 and m in std_index
-
-    def target_alive(mu: Degree, t: int) -> bool:
-        d = free_degrees[t]
-        m = (mu[0] - d[0], mu[1] - d[1], mu[2] - d[2])
-        return m[0] >= 0 and m[1] >= 0 and m[2] >= 0 and m in std_index
-
     cands = set()
     for d in gen_degrees:
         for s in std_index:
@@ -167,21 +159,26 @@ def graded_syzygy_minimal_generators(
     kernels: dict[Degree, list[dict]] = {}
     minimal = []
     for mu in sorted(cands, key=_degree_sort_key):
-        active = [i for i in range(len(min_gens)) if source_alive(mu, i)]
+        active = [i for i, d in enumerate(gen_degrees) if _alive(mu, d, std_index)]
         if not active:
             kernels[mu] = []
             continue
-        cols = []
-        for i in active:
-            cols.append(
-                {t: s for t, s in min_gens[i][1].items() if target_alive(mu, t)}
-            )
+        cols = [
+            {
+                t: s
+                for t, s in min_gens[i][1].items()
+                if _alive(mu, free_degrees[t], std_index)
+            }
+            for i in active
+        ]
         combos = kernel_basis(cols, field)
         local = [{active[pos]: s for pos, s in combo.items()} for combo in combos]
         ech = Echelon(field)
         for var in range(3):
             for kv in kernels.get(_shift(mu, var), []):
-                shifted = {i: s for i, s in kv.items() if source_alive(mu, i)}
+                shifted = {
+                    i: s for i, s in kv.items() if _alive(mu, gen_degrees[i], std_index)
+                }
                 if shifted:
                     ech.insert(shifted)
         for kv in local:

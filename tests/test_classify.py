@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from trikoszul.audit import run_audit
@@ -52,6 +54,15 @@ def test_classify_complete_intersection(ci2):
     assert rep.mu[0] == 1
     assert all(v == 0 for v in rep.mu[1:])
     assert rep.bass is None
+
+
+def test_complete_intersection_passes_the_two_route_checks(ci2, monkeypatch):
+    # a complete intersection is labeled only after both routes agree
+    module = importlib.import_module("trikoszul.classify")
+    monkeypatch.setattr(module, "count_p_structural", lambda res, ideal: 0)
+    rep = classify(ci2)
+    assert rep.cls.tag == "Unclassified"
+    assert "structural p = 0 disagrees with homology rank 3" in rep.cls.reason
 
 
 def test_classify_golod_flag(msquare):

@@ -68,6 +68,10 @@ def test_classify_prime_field(capsys):
         ["classify", "x^2, y^2, z^2", "--mu-terms", "abc"],
         ["classify", "x^2, y^2, z^2", "--no-such-flag"],
         [],
+        # each subcommand takes only the shared options it reads
+        ["resolve", EX31, "--json"],
+        ["homology", EX31, "--json"],
+        ["audit", "--count", "0", "--dim-cap", "5"],
     ],
 )
 def test_usage_error_exits_1(capsys, argv):

@@ -1,0 +1,29 @@
+"""Every name a library module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import trikoszul
+
+MODULES = sorted(
+    p for p in Path(trikoszul.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported_names(tree) - used) == []

@@ -1,15 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
+import trikoszul.invariants as invariants
 from trikoszul.errors import NonGenericError
-from trikoszul.fields import GF32003
+from trikoszul.fields import GF32003, QQ
 from trikoszul.invariants import (
     bass_mu0_mu1,
     build_canonical_presentation,
     count_p_structural,
     dependent_row_count,
     dependent_row_count_generic,
+    graded_minimal_generators,
+    presentation_minimal_generators,
 )
-from trikoszul.monomials import parse_ideal
+from trikoszul.monomials import parse_ideal, standard_monomials
 from trikoszul.resolution import build_resolution
 
 
@@ -114,3 +119,54 @@ def test_canonical_presentation_drops_ideal_entries(ex31):
     # rows carrying only ideal entries reduce to zero: exactly rhat of them
     zero_rows = sum(1 for coords in pres.relation_columns if not coords)
     assert zero_rows == 2
+
+
+# ---------------------------------------------------------- Nakayama count
+
+
+def test_presentation_minimal_generators_worked_example(ex31):
+    pres = build_canonical_presentation(build_resolution(ex31), ex31)
+    assert presentation_minimal_generators(pres, ex31) == [
+        ((0, -3, -3), {1: 1}),
+        ((-3, 0, -2), {0: -1}),
+        ((-2, -1, -2), {0: 1, 1: -1}),
+        ((-3, -1, 0), {0: 1}),
+    ]
+
+
+def test_minimal_generators_sharing_a_degree():
+    # rank-2 free module in degree 0 over k[x,y,z]/(x^2, y^2, z^2)
+    std = standard_monomials(parse_ideal("x^2, y^2, z^2")).index
+    one = Fraction(1)
+    gens = [
+        ((1, 0, 0), {0: one}),
+        ((1, 0, 0), {0: one, 1: one}),  # same degree, independent
+        ((1, 0, 0), {1: 2 * one}),  # same degree, 2 * (second - first)
+        ((0, 1, 0), {1: one}),
+        ((1, 1, 0), {0: one, 1: one}),  # y * second
+        ((2, 0, 0), {0: one}),  # x^2 is in the ideal: every coordinate dies
+        ((0, 0, 1), {1: one}),
+    ]
+    assert graded_minimal_generators([(0, 0, 0), (0, 0, 0)], gens, std, QQ) == [
+        ((0, 0, 1), {1: one}),
+        ((0, 1, 0), {1: one}),
+        ((1, 0, 0), {0: one}),
+        ((1, 0, 0), {0: one, 1: one}),
+    ]
+
+
+def test_nakayama_count_tests_generator_degrees_only(ex31, monkeypatch):
+    built = []
+
+    class CountingEchelon(invariants.Echelon):
+        def __init__(self, field):
+            built.append(self)
+            super().__init__(field)
+
+    monkeypatch.setattr(invariants, "Echelon", CountingEchelon)
+    pres = build_canonical_presentation(build_resolution(ex31), ex31)
+    presentation_minimal_generators(pres, ex31)
+    degrees = {
+        d for d, coords in zip(pres.relation_degrees, pres.relation_columns) if coords
+    }
+    assert len(built) == len(degrees) == 4
