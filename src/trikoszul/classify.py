@@ -270,13 +270,13 @@ def classify(
     generic = is_generic(ideal)
     diagnostics: list[str] = []
 
-    model = build_koszul_model(ideal, field, dim_cap)
+    model = build_koszul_model(ideal, field, std=std)
     alg = build_homology_algebra(model)
     p_oracle = rank_a1_squared(alg)
     q = rank_a1_a2(alg)
     r_oracle = rank_delta2(alg)
     p_struct = count_p_structural(res, ideal)
-    bass = bass_mu0_mu1(res, ideal, field, dim_cap)
+    bass = bass_mu0_mu1(res, ideal, field, std=std)
     rhat = bass.rhat
 
     if alg.dims != (n, m + n - 1, m):
@@ -381,7 +381,7 @@ def canonical_betti_oracle(
     out = [res.m]
     if terms == 0:
         return out
-    gens = presentation_minimal_generators(pres, ideal, field, dim_cap)
+    gens = presentation_minimal_generators(pres, ideal, field, std=std)
     out.append(len(gens))
     free_degrees = [_neg(d) for d in pres.target_degrees]
     for _ in range(2, terms + 1):

@@ -23,6 +23,7 @@ from .linalg import Echelon, kernel_basis
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    StandardBasis,
     is_generic,
     standard_monomials,
 )
@@ -189,10 +190,17 @@ def graded_syzygy_minimal_generators(
 
 
 def presentation_minimal_generators(
-    pres: CanonicalPresentation, ideal: MonomialIdeal, field=QQ, dim_cap: int = 20000
+    pres: CanonicalPresentation,
+    ideal: MonomialIdeal,
+    field=QQ,
+    dim_cap: int = 20000,
+    *,
+    std: StandardBasis | None = None,
 ) -> list[tuple[Degree, dict[int, object]]]:
-    """Minimal generators of the relation module of the canonical module."""
-    std = standard_monomials(ideal, dim_cap)
+    """Minimal generators of the relation module of the canonical module;
+    std is the staircase of the ideal when the caller has already built it."""
+    if std is None:
+        std = standard_monomials(ideal, dim_cap)
     free_degrees = [_neg(d) for d in pres.target_degrees]
     gens = []
     for j, coords in enumerate(pres.relation_columns):
@@ -204,12 +212,17 @@ def presentation_minimal_generators(
 
 
 def dependent_row_count(
-    res: Resolution, ideal: MonomialIdeal, field=QQ, dim_cap: int = 20000
+    res: Resolution,
+    ideal: MonomialIdeal,
+    field=QQ,
+    dim_cap: int = 20000,
+    *,
+    std: StandardBasis | None = None,
 ) -> int:
     """Rows of f3 that are dependent mod the ideal, via the Nakayama count
     of minimal generators of the image of the transposed differential."""
     pres = build_canonical_presentation(res, ideal)
-    mu1 = len(presentation_minimal_generators(pres, ideal, field, dim_cap))
+    mu1 = len(presentation_minimal_generators(pres, ideal, field, dim_cap, std=std))
     return res.f2.cols - mu1
 
 
@@ -240,8 +253,13 @@ class BassData:
 
 
 def bass_mu0_mu1(
-    res: Resolution, ideal: MonomialIdeal, field=QQ, dim_cap: int = 20000
+    res: Resolution,
+    ideal: MonomialIdeal,
+    field=QQ,
+    dim_cap: int = 20000,
+    *,
+    std: StandardBasis | None = None,
 ) -> BassData:
-    rhat = dependent_row_count(res, ideal, field, dim_cap)
+    rhat = dependent_row_count(res, ideal, field, dim_cap, std=std)
     mu1 = res.f2.cols - rhat
     return BassData(mu0=res.m, mu1=mu1, rhat=rhat)

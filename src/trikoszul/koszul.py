@@ -122,15 +122,22 @@ class KoszulModel:
 
 
 def build_koszul_model(
-    ideal: MonomialIdeal, field=QQ, dim_cap: int = 20000
+    ideal: MonomialIdeal,
+    field=QQ,
+    dim_cap: int = 20000,
+    *,
+    std: StandardBasis | None = None,
 ) -> KoszulModel:
+    """The Koszul complex of R over the staircase basis; std is the
+    staircase of the ideal when the caller has already built it."""
     if field.characteristic == 2:
         raise ValueError(
             "characteristic-2 fields are rejected: sign-based wedge identities degenerate"
         )
     if not is_primary_artinian(ideal):
         raise NotArtinianError("the Koszul model requires an m-primary ideal in m^2")
-    std = standard_monomials(ideal, dim_cap)
+    if std is None:
+        std = standard_monomials(ideal, dim_cap)
     dim = std.dim
     index = std.index
     monos = std.monomials

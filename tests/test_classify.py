@@ -65,6 +65,23 @@ def test_complete_intersection_passes_the_two_route_checks(ci2, monkeypatch):
     assert "structural p = 0 disagrees with homology rank 3" in rep.cls.reason
 
 
+def test_classify_builds_the_staircase_once(ex31, monkeypatch):
+    import trikoszul.monomials
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return trikoszul.monomials.standard_monomials(*args, **kwargs)
+
+    for name in ("classify", "koszul", "invariants", "resolution"):
+        module = importlib.import_module(f"trikoszul.{name}")
+        monkeypatch.setattr(module, "standard_monomials", counting)
+    rep = classify(ex31)
+    assert rep.cls.display() == "B"
+    assert calls == [ex31]
+
+
 def test_classify_golod_flag(msquare):
     rep = classify(msquare)
     assert rep.cls.display() == "H(0,0)"
