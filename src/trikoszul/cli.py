@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, resolve, homology, bass, corpus, audit, family.
-Exit codes: 0 success/classified, 2 Unclassified, 1 input or corpus error;
+Exit codes: 0 success/classified, 2 Unclassified, 1 input or corpus error,
+3 an internal invariant check failed (a bug, reported in one error line);
 usage errors (an unknown option, a bad option value, no subcommand) are input
 errors and exit 1 with argparse's usage and error lines; --help exits 0.
 Identical invocations (including seeds) produce byte-identical JSON output
@@ -28,6 +29,7 @@ from .errors import (
     DimensionCapError,
     FamilyConstraintError,
     IdealParseError,
+    InternalInvariantError,
     NonGenericError,
     NotArtinianError,
 )
@@ -170,9 +172,9 @@ def _cmd_resolve(args) -> int:
 
 def _label_str(vec, model) -> str:
     parts = []
-    for idx in sorted(vec):
-        comp, mono = model.label(2, idx)
-        s = vec[idx]
+    for comp, u in sorted(vec):
+        s = vec[(comp, u)]
+        mono = model.r_basis.monomials[u]
         prefix = "-" if s == -1 else "" if s == 1 else f"{s}*"
         parts.append(f"{prefix}{mono}*{_E_NAMES[2][comp]}")
     return " + ".join(parts).replace("+ -", "- ")
@@ -433,7 +435,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed its usage and error lines; a usage error is bad input
         return 1 if exc.code == 2 else exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,3 +27,7 @@ class FamilyConstraintError(ValueError):
 
 class SamplingBudgetError(RuntimeError):
     """The random ideal sampler ran out of attempts."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A check on the program's own computation failed: a bug, not bad input."""

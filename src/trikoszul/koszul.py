@@ -4,17 +4,21 @@ R is modeled as a vector space on its standard monomials and the complex
 
     0 -> R -> R^3 -> R^3 -> R -> 0
 
-is assembled from the multiplication tables of x, y, z.  Every graded piece
-of the complex in a fixed multidegree has dimension at most three, so all
-rank and kernel computations split into tiny exact blocks.
+is kept as one block per K2 multidegree mu.  A cell (comp, u) is the basis
+element u * e_comp of a level, u indexing the staircase; it has multidegree
+u times the degree of e_comp.  Every differential preserves the multidegree,
+so a block holds the whole complex at mu: at most three cells per level,
+with d2 and d3 given by their +-1 signs.  build_koszul_model walks the
+staircase once to list the blocks in (total degree, multidegree) order and
+checks d1 . d2 = 0 and d2 . d3 = 0 on each block in integers.
 
-build_homology_algebra eliminates d2 once per K2 multidegree block.  Each
-block's kernel gives rank(d2) (columns minus kernel size) and the A2
-representatives; the canonical A1 generator of that multidegree, if any, is
-checked against im(d2) in the same elimination.  rank(d3) counts the d3
-columns seeded into the class solver (each sits alone in its multidegree),
-rank(d1) counts the distinct rows d1 hits (each column is one unit entry),
-and the dims follow by rank-nullity; homology_dims returns those dims.
+build_homology_algebra eliminates d2 once per block.  Each block's kernel
+gives rank(d2) (columns minus kernel size) and the A2 representatives; the
+canonical A1 generator of that multidegree, if any, is checked against
+im(d2) in the same elimination.  rank(d3) counts the blocks whose K3 cell is
+alive (its column is nonzero and alone in its multidegree), rank(d1) is
+dim R - 1 (d1 maps onto the maximal ideal of R), and the dims follow by
+rank-nullity; homology_dims returns those dims.
 
 The wedge components are ordered e1, e2, e3; e12, e13, e23; e123, and the
 differentials follow
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotArtinianError
+from .errors import InternalInvariantError, NotArtinianError
 from .fields import QQ
 from .linalg import Echelon, SpanWithCoords, kernel_basis
 from .monomials import (
@@ -44,14 +48,15 @@ K1_DEGREES = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 K2_DEGREES = (Monomial(1, 1, 0), Monomial(1, 0, 1), Monomial(0, 1, 1))
 K3_DEGREE = Monomial(1, 1, 1)
 
-# d2 columns: component -> ((target K1 component, variable, sign), ...)
+# d2 columns: K2 component -> ((K1 component, sign), ...); in a block the
+# K1 target of each component is the one cell of that component at mu
 _D2_TABLE = (
-    ((1, 0, +1), (0, 1, -1)),  # e12 -> x e2 - y e1
-    ((2, 0, +1), (0, 2, -1)),  # e13 -> x e3 - z e1
-    ((2, 1, +1), (1, 2, -1)),  # e23 -> y e3 - z e2
+    ((1, +1), (0, -1)),  # e12 -> x e2 - y e1
+    ((2, +1), (0, -1)),  # e13 -> x e3 - z e1
+    ((2, +1), (1, -1)),  # e23 -> y e3 - z e2
 )
-# d3 column: e123 -> z e12 - y e13 + x e23
-_D3_TABLE = ((0, 2, +1), (1, 1, -1), (2, 0, +1))
+# d3 column: e123 -> z e12 - y e13 + x e23, as a sign per K2 component
+_D3_SIGNS = (+1, -1, +1)
 
 # wedge of K1 components: (i, j) -> (K2 component, sign)
 _WEDGE_11 = {
@@ -62,62 +67,59 @@ _WEDGE_11 = {
     (1, 2): (2, 1),
     (2, 1): (2, -1),
 }
-# wedge K1 x K2 -> K3: (K1 comp, K2 comp) -> sign (zero pairs absent)
-_WEDGE_12 = {(0, 2): 1, (1, 1): -1, (2, 0): 1}
+# wedge K1 x K2 -> K3: (K1 comp, K2 comp) -> (K3 component, sign), zero
+# pairs absent
+_WEDGE_12 = {(0, 2): (0, 1), (1, 1): (0, -1), (2, 0): (0, 1)}
+
+
+@dataclass
+class KoszulBlock:
+    """The Koszul complex in the K2 multidegree mu.
+
+    d2 maps each alive K2 cell at mu, in component order, to its column of
+    signs on the alive K1 cells at mu.  k3 is the staircase index of the K3
+    cell at mu (None when mu / xyz is not a standard monomial) and d3 its
+    column of signs on the K2 cells ({} when k3 is None).
+    """
+
+    mu: Monomial
+    d2: dict[tuple[int, int], dict[tuple[int, int], int]]
+    k3: int | None
+    d3: dict[tuple[int, int], int]
 
 
 @dataclass
 class KoszulModel:
-    """Exact-field model of the Koszul complex over R.
-
-    d1, d2, d3 map column index to a sparse column over the previous level's
-    basis indices.  Level bases are component-major: index = comp * dim + u.
-    """
+    """The Koszul complex of R as its staircase and its K2 multidegree
+    blocks, in (total degree, multidegree) order."""
 
     ideal: MonomialIdeal
     field: object
     r_basis: StandardBasis
-    d1: dict[int, dict[int, object]]
-    d2: dict[int, dict[int, object]]
-    d3: dict[int, dict[int, object]]
+    blocks: list[KoszulBlock]
 
     @property
     def dim(self) -> int:
         return self.r_basis.dim
 
-    def level_size(self, level: int) -> int:
-        return self.dim * (3 if level in (1, 2) else 1)
-
-    def label(self, level: int, idx: int) -> tuple[int, Monomial]:
-        comp, u = divmod(idx, self.dim)
-        return comp, self.r_basis.monomials[u]
-
-    def multidegree(self, level: int, idx: int) -> Monomial:
-        comp, u = self.label(level, idx)
-        if level == 1:
-            return K1_DEGREES[comp].mul(u)
-        if level == 2:
-            return K2_DEGREES[comp].mul(u)
-        if level == 3:
-            return K3_DEGREE.mul(u)
-        return u
-
     def verify(self) -> bool:
-        """d1 . d2 = 0 and d2 . d3 = 0 over the field."""
-        for d_out, d_in in ((self.d1, self.d2), (self.d2, self.d3)):
-            for col in d_in.values():
-                acc: dict[int, object] = {}
-                for row, s in col.items():
-                    for row2, s2 in d_out.get(row, {}).items():
-                        v = self.field.add(
-                            acc.get(row2, self.field.zero), self.field.mul(s, s2)
-                        )
-                        if self.field.is_zero(v):
-                            acc.pop(row2, None)
-                        else:
-                            acc[row2] = v
-                if acc:
-                    return False
+        """d1 . d2 = 0 and d2 . d3 = 0 on every block, in integers.
+
+        d1 sends each K1 cell at mu to the K0 cell mu with coefficient 1
+        when mu is a standard monomial and to 0 otherwise, so d1 . d2 of a
+        column is the sum of its signs there.
+        """
+        index = self.r_basis.index
+        for block in self.blocks:
+            d2 = block.d2
+            if block.mu in index and any(sum(col.values()) for col in d2.values()):
+                return False
+            acc: dict[tuple[int, int], int] = {}
+            for cell, s in block.d3.items():
+                for row, t in d2[cell].items():
+                    acc[row] = acc.get(row, 0) + s * t
+            if any(acc.values()):
+                return False
         return True
 
 
@@ -138,57 +140,27 @@ def build_koszul_model(
         raise NotArtinianError("the Koszul model requires an m-primary ideal in m^2")
     if std is None:
         std = standard_monomials(ideal, dim_cap)
-    dim = std.dim
-    index = std.index
-    monos = std.monomials
-
-    def times_var(u: int, var: int) -> int | None:
-        m = monos[u]
-        prod = (m[0] + (var == 0), m[1] + (var == 1), m[2] + (var == 2))
-        return index.get(prod)
-
-    one = field.one
-    neg_one = field.neg(one)
-    d1: dict[int, dict[int, object]] = {}
-    for comp in range(3):
-        for u in range(dim):
-            target = times_var(u, comp)
-            if target is not None:
-                d1[comp * dim + u] = {target: one}
-    d2: dict[int, dict[int, object]] = {}
-    for comp, rules in enumerate(_D2_TABLE):
-        for u in range(dim):
-            col: dict[int, object] = {}
-            for (tcomp, var, sign) in rules:
-                target = times_var(u, var)
-                if target is not None:
-                    col[tcomp * dim + target] = one if sign > 0 else neg_one
-            if col:
-                d2[comp * dim + u] = col
-    d3: dict[int, dict[int, object]] = {}
-    for u in range(dim):
-        col = {}
-        for (tcomp, var, sign) in _D3_TABLE:
-            target = times_var(u, var)
-            if target is not None:
-                col[tcomp * dim + target] = one if sign > 0 else neg_one
-        if col:
-            d3[u] = col
-    model = KoszulModel(ideal=ideal, field=field, r_basis=std, d1=d1, d2=d2, d3=d3)
+    get = std.index.get
+    mus = {
+        (a + da, b + db, c + dc) for da, db, dc in K2_DEGREES for a, b, c in std.monomials
+    }
+    blocks = []
+    for a, b, c in sorted(mus, key=lambda m: (m[0] + m[1] + m[2], m)):
+        # the cells at mu: mu over the degree of e1, e2, e3; e12, e13, e23; e123
+        k1 = (get((a - 1, b, c)), get((a, b - 1, c)), get((a, b, c - 1)))
+        k2 = (get((a - 1, b - 1, c)), get((a - 1, b, c - 1)), get((a, b - 1, c - 1)))
+        k3 = get((a - 1, b - 1, c - 1))
+        d2 = {}
+        for comp, u in enumerate(k2):
+            if u is not None:
+                rules = _D2_TABLE[comp]
+                d2[(comp, u)] = {(t, k1[t]): s for t, s in rules if k1[t] is not None}
+        d3 = {} if k3 is None else {cell: _D3_SIGNS[cell[0]] for cell in d2}
+        blocks.append(KoszulBlock(Monomial(a, b, c), d2, k3, d3))
+    model = KoszulModel(ideal=ideal, field=field, r_basis=std, blocks=blocks)
     if not model.verify():
-        raise RuntimeError("Koszul differentials do not compose to zero")
+        raise InternalInvariantError("Koszul differentials do not compose to zero")
     return model
-
-
-def _d2_blocks(model: KoszulModel):
-    """The K2 multidegree blocks in (total degree, multidegree) order, each
-    as (multidegree, K2 indices, their d2 columns)."""
-    groups: dict[Monomial, list[int]] = {}
-    for idx in range(model.level_size(2)):
-        groups.setdefault(model.multidegree(2, idx), []).append(idx)
-    for mu in sorted(groups, key=lambda m: (m.degree(), m)):
-        idxs = groups[mu]
-        yield mu, idxs, [model.d2.get(idx, {}) for idx in idxs]
 
 
 def homology_dims(model: KoszulModel) -> tuple[int, int, int]:
@@ -218,43 +190,42 @@ def canonical_a1_generators(ideal: MonomialIdeal) -> list[tuple[Monomial, int]]:
 class HomologyAlgebra:
     """Bases for A1, A2, A3 plus the multiplication data into A2 and A3.
 
-    a1 holds the canonical cycle representatives; a2 holds kernel cycles
-    that are independent modulo the image of d3; a3 holds the socle
-    coordinates of R (the kernel of d3 is one-dimensional per multidegree).
+    a1 holds the canonical cycle representatives and a2 kernel cycles that
+    are independent modulo the image of d3, both keyed by cell (comp, u);
+    a3 holds the socle coordinates u of R (the kernel of d3 is
+    one-dimensional per multidegree).
     mult_11[(i, j)] for i < j gives A2-class coordinates of a1[i] * a1[j];
     mult_12[(i, b)] gives A3 coordinates of a1[i] * a2[b].
     """
 
     model: KoszulModel
-    a1: list[dict[int, object]]
+    a1: list[dict[tuple[int, int], object]]
     a1_labels: list[tuple[Monomial, int]]
-    a2: list[dict[int, object]]
+    a2: list[dict[tuple[int, int], object]]
     a3: list[int]
     dims: tuple[int, int, int]
     mult_11: dict[tuple[int, int], dict[int, object]]
     mult_12: dict[tuple[int, int], dict[int, object]]
 
 
-def wedge_11(model: KoszulModel, va: dict, vb: dict) -> dict[int, object]:
-    """Product of two degree-1 elements, reduced in R."""
+def _wedge(model: KoszulModel, va: dict, vb: dict, table: dict) -> dict:
+    """Product of two elements keyed by cell, reduced in R; table maps a
+    pair of components to the product's component and sign."""
     field = model.field
-    dim = model.dim
     monos = model.r_basis.monomials
     index = model.r_basis.index
-    out: dict[int, object] = {}
-    for ia, sa in va.items():
-        ca, ua = divmod(ia, dim)
+    out: dict[tuple[int, int], object] = {}
+    for (ca, ua), sa in va.items():
         ma = monos[ua]
-        for ib, sb in vb.items():
-            cb, ub = divmod(ib, dim)
-            rule = _WEDGE_11.get((ca, cb))
+        for (cb, ub), sb in vb.items():
+            rule = table.get((ca, cb))
             if rule is None:
                 continue
             comp, sign = rule
             target = index.get(ma.mul(monos[ub]))
             if target is None:
                 continue
-            key = comp * dim + target
+            key = (comp, target)
             term = field.mul(sa, sb)
             if sign < 0:
                 term = field.neg(term)
@@ -266,79 +237,57 @@ def wedge_11(model: KoszulModel, va: dict, vb: dict) -> dict[int, object]:
     return out
 
 
+def wedge_11(model: KoszulModel, va: dict, vb: dict) -> dict[tuple[int, int], object]:
+    """Product of two degree-1 elements, reduced in R."""
+    return _wedge(model, va, vb, _WEDGE_11)
+
+
 def wedge_12(model: KoszulModel, v1: dict, v2: dict) -> dict[int, object]:
-    """Product of a degree-1 and a degree-2 element, landing in K3 = R."""
-    field = model.field
-    dim = model.dim
-    monos = model.r_basis.monomials
-    index = model.r_basis.index
-    out: dict[int, object] = {}
-    for ia, sa in v1.items():
-        ca, ua = divmod(ia, dim)
-        ma = monos[ua]
-        for ib, sb in v2.items():
-            cb, ub = divmod(ib, dim)
-            sign = _WEDGE_12.get((ca, cb))
-            if sign is None:
-                continue
-            target = index.get(ma.mul(monos[ub]))
-            if target is None:
-                continue
-            term = field.mul(sa, sb)
-            if sign < 0:
-                term = field.neg(term)
-            v = field.add(out.get(target, field.zero), term)
-            if field.is_zero(v):
-                out.pop(target, None)
-            else:
-                out[target] = v
-    return out
+    """Product of a degree-1 and a degree-2 element, landing in K3 = R and
+    keyed by staircase index."""
+    return {u: s for (_, u), s in _wedge(model, v1, v2, _WEDGE_12).items()}
 
 
 def build_homology_algebra(model: KoszulModel) -> HomologyAlgebra:
     field = model.field
     dim = model.dim
     labels = canonical_a1_generators(model.ideal)
-    a1 = [{comp * dim + model.r_basis.index[mono]: field.one} for mono, comp in labels]
+    a1 = [{(comp, model.r_basis.index[mono]): field.one} for mono, comp in labels]
     # canonical generator k is homogeneous of multidegree generators[k]; the
     # generators are distinct, so independence mod im(d2) splits over blocks
     # (a pure power meets no K2 block: im(d2) is zero in its multidegree)
     a1_at = {g: k for k, g in enumerate(model.ideal.generators)}
 
-    # class solver: boundaries seeded, A2 basis vectors tagged
+    # class solver: boundaries seeded, A2 basis vectors tagged; blocks share
+    # no cell, so a vector reduces only against its own block's rows
     solver = SpanWithCoords(field)
-    rank_d3 = sum(solver.seed(model.d3[u]) for u in sorted(model.d3))
-    rank_d2 = 0
-    a2: list[dict[int, object]] = []
-    for mu, idxs, cols in _d2_blocks(model):
-        k = a1_at.get(mu)
+    rank_d2 = rank_d3 = 0
+    a2: list[dict[tuple[int, int], object]] = []
+    for block in model.blocks:
+        if block.d3:
+            rank_d3 += solver.seed(block.d3)
+        cells = list(block.d2)
+        cols = list(block.d2.values())
+        k = a1_at.get(block.mu)
         if k is not None:
             # appended last, the generator's cycle leaves the d2 kernel as it
             # is and adds a combination of its own iff it lies in im(d2)
             cols.append(a1[k])
         kernel = kernel_basis(cols, field)
-        if k is not None and kernel and len(idxs) in kernel[-1]:
-            raise RuntimeError("canonical A1 generators are dependent mod im(d2)")
-        rank_d2 += len(idxs) - len(kernel)
+        if k is not None and kernel and len(cells) in kernel[-1]:
+            raise InternalInvariantError(
+                "canonical A1 generators are dependent mod im(d2)"
+            )
+        rank_d2 += len(cells) - len(kernel)
         for combo in kernel:
-            vec = {idxs[pos]: s for pos, s in combo.items()}
+            vec = {cells[pos]: s for pos, s in combo.items()}
             if solver.add_tagged(vec, len(a2)):
                 a2.append(vec)
 
-    # socle coordinates form the A3 basis
-    monos = model.r_basis.monomials
-    index = model.r_basis.index
-    a3 = [
-        u
-        for u in range(dim)
-        if all(
-            index.get(
-                (monos[u][0] + (v == 0), monos[u][1] + (v == 1), monos[u][2] + (v == 2))
-            )
-            is None
-            for v in range(3)
-        )
-    ]
+    # the socle, a basis of ker d3 = A3: a K3 cell u lies in some block
+    # (whose d3 column is then nonzero) unless u*x, u*y and u*z all lie in I
+    in_blocks = {block.k3 for block in model.blocks}
+    a3 = [u for u in range(dim) if u not in in_blocks]
     a3_pos = {u: k for k, u in enumerate(a3)}
 
     mult_11 = {}
@@ -351,10 +300,12 @@ def build_homology_algebra(model: KoszulModel) -> HomologyAlgebra:
             coords = {}
             for u, s in prod.items():
                 if u not in a3_pos:
-                    raise RuntimeError("A1*A2 product is not a cycle")
+                    raise InternalInvariantError("A1*A2 product is not a cycle")
                 coords[a3_pos[u]] = s
             mult_12[(i, b)] = coords
-    rank_d1 = len({row for col in model.d1.values() for row in col})
+    # d1 maps onto the maximal ideal of R: each standard monomial but 1 is
+    # x, y or z times a standard monomial
+    rank_d1 = dim - 1
     return HomologyAlgebra(
         model=model,
         a1=a1,
@@ -372,35 +323,36 @@ def build_homology_algebra(model: KoszulModel) -> HomologyAlgebra:
     )
 
 
+def _rank(field, vectors) -> int:
+    """Dimension of the span of the vectors."""
+    ech = Echelon(field)
+    for v in vectors:
+        if v:
+            ech.insert(v)
+    return ech.rank
+
+
 def rank_a1_squared(alg: HomologyAlgebra) -> int:
     """p: dimension of the span of pairwise A1 products inside A2."""
-    ech = Echelon(alg.model.field)
-    for coords in alg.mult_11.values():
-        if coords:
-            ech.insert(coords)
-    return ech.rank
+    return _rank(alg.model.field, alg.mult_11.values())
 
 
 def rank_a1_a2(alg: HomologyAlgebra) -> int:
     """q: dimension of the span of A1 * A2 inside A3."""
-    ech = Echelon(alg.model.field)
-    for coords in alg.mult_12.values():
-        if coords:
-            ech.insert(coords)
-    return ech.rank
+    return _rank(alg.model.field, alg.mult_12.values())
 
 
 def rank_delta2(alg: HomologyAlgebra) -> int:
     """r: rank of the pairing map A2 -> Hom(A1, A3)."""
-    ech = Echelon(alg.model.field)
-    for b in range(len(alg.a2)):
-        row: dict[tuple[int, int], object] = {}
-        for i in range(len(alg.a1)):
-            for pos, s in alg.mult_12.get((i, b), {}).items():
-                row[(i, pos)] = s
-        if row:
-            ech.insert(row)
-    return ech.rank
+    rows = (
+        {
+            (i, pos): s
+            for i in range(len(alg.a1))
+            for pos, s in alg.mult_12.get((i, b), {}).items()
+        }
+        for b in range(len(alg.a2))
+    )
+    return _rank(alg.model.field, rows)
 
 
 def truncated_exterior_check(alg: HomologyAlgebra) -> bool:
@@ -412,14 +364,8 @@ def truncated_exterior_check(alg: HomologyAlgebra) -> bool:
     p = rank_a1_squared(alg)
     if p != 3:
         raise ValueError(f"the truncated-exterior test requires p = 3, got {p}")
-    field = alg.model.field
     for a, b, c in combinations(range(len(alg.a1)), 3):
         prods = [alg.mult_11[(a, b)], alg.mult_11[(a, c)], alg.mult_11[(b, c)]]
-        if any(not v for v in prods):
-            continue
-        ech = Echelon(field)
-        for v in prods:
-            ech.insert(v)
-        if ech.rank == 3:
+        if all(prods) and _rank(alg.model.field, prods) == 3:
             return True
     return False

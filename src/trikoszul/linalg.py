@@ -7,6 +7,8 @@ computation deterministic for a fixed insertion order.
 
 from __future__ import annotations
 
+from .errors import InternalInvariantError
+
 
 def axpy(field, vec: dict, c, row: dict) -> None:
     """In place vec -= c * row, dropping entries that become zero."""
@@ -144,5 +146,5 @@ class SpanWithCoords:
         """
         v, acc = self._reduce(vec)
         if v:
-            raise ValueError("vector is not in the span")
+            raise InternalInvariantError("vector is not in the span")
         return acc

@@ -108,6 +108,19 @@ def test_bad_value_is_a_one_line_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["classify", "homology"])
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch, command):
+    import trikoszul.koszul as koszul
+
+    # a wrong d3 sign table breaks d2 . d3 = 0, a fault of the program
+    monkeypatch.setattr(koszul, "_D3_SIGNS", (+1, +1, +1))
+    code, out, err = run(capsys, [command, EX31])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_classify_unclassified_exit_code(capsys, monkeypatch):
     import trikoszul.cli as cli_mod
     from trikoszul.classify import classify as real_classify

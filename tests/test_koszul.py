@@ -1,7 +1,16 @@
+import hashlib
+
 import pytest
 
+import trikoszul.koszul as koszul
+from trikoszul.classify import classify
+from trikoszul.cli import main
+from trikoszul.errors import InternalInvariantError
 from trikoszul.fields import GF32003, PrimeField, QQ
+from trikoszul.generators import GeneratorConfig, random_ideal
 from trikoszul.koszul import (
+    K2_DEGREES,
+    K3_DEGREE,
     build_homology_algebra,
     build_koszul_model,
     canonical_a1_generators,
@@ -12,7 +21,7 @@ from trikoszul.koszul import (
     truncated_exterior_check,
     wedge_11,
 )
-from trikoszul.linalg import Echelon
+from trikoszul.linalg import SpanWithCoords
 from trikoszul.monomials import Monomial, parse_ideal
 
 
@@ -24,24 +33,33 @@ def algebra(text):
 # ------------------------------------------------------------------ model
 
 
+def block_at(model, mu):
+    return next(block for block in model.blocks if block.mu == mu)
+
+
 def test_model_m_squared(msquare):
     model = build_koszul_model(msquare)
     assert model.dim == 4
-    ech = Echelon(model.field)
-    for col in model.d1.values():
-        ech.insert(col)
-    assert ech.rank == 3
+    # e12, e13, e23 times 1, x, y, z: ten K2 multidegrees
+    assert len(model.blocks) == 10
+    # d1 maps onto x, y, z, so rank d1 = 3, and A1 = 3 dim R - rank d1 - rank d2
+    # with rank d2 = 3 (the K2 cells on the unit; the others bound nothing)
+    assert build_homology_algebra(model).dims == (6, 8, 3)
 
 
 def test_model_detects_corruption():
-    # corrupt a column whose composition with d1 survives reduction mod I
+    unit = Monomial(0, 0, 0)
+    # corrupt a column whose composition with d1 survives reduction mod I:
+    # the e12 column of the unit monomial, where d1 . d2 is the sum of signs
     model = build_koszul_model(parse_ideal("x^3, y^3, z^3"))
     assert model.verify()
-    unit = model.r_basis.index[Monomial(0, 0, 0)]
-    col = dict(model.d2[unit])  # e12 column of the unit monomial
-    row = next(iter(sorted(col)))
-    col[row] = model.field.add(col[row], model.field.one)
-    model.d2[unit] = col
+    col = block_at(model, K2_DEGREES[0]).d2[(0, model.r_basis.index[unit])]
+    col[min(col)] += 1
+    assert not model.verify()
+    # flip one sign of the d3 column of the unit: d2 . d3 no longer vanishes
+    model = build_koszul_model(parse_ideal("x^3, y^3, z^3"))
+    d3 = block_at(model, K3_DEGREE).d3
+    d3[min(d3)] *= -1
     assert not model.verify()
 
 
@@ -53,17 +71,13 @@ def test_model_rejects_characteristic_two(msquare):
 def test_model_d3_follows_mapping_table(msquare):
     # column for u * e123 must be z*e12 - y*e13 + x*e23
     model = build_koszul_model(msquare)
-    dim = model.dim
-    idx = model.r_basis.index[Monomial(0, 0, 0)]
-    col = model.d3[idx]
-    z = model.r_basis.index[Monomial(0, 0, 1)]
-    y = model.r_basis.index[Monomial(0, 1, 0)]
-    x = model.r_basis.index[Monomial(1, 0, 0)]
-    assert col == {
-        0 * dim + z: model.field.one,
-        1 * dim + y: model.field.neg(model.field.one),
-        2 * dim + x: model.field.one,
-    }
+    index = model.r_basis.index
+    block = block_at(model, K3_DEGREE)
+    assert block.k3 == index[Monomial(0, 0, 0)]
+    z = index[Monomial(0, 0, 1)]
+    y = index[Monomial(0, 1, 0)]
+    x = index[Monomial(1, 0, 0)]
+    assert block.d3 == {(0, z): 1, (1, y): -1, (2, x): 1}
 
 
 # ------------------------------------------------------------------- dims
@@ -126,10 +140,17 @@ def test_a1_generator_in_boundaries_raises(ex31):
     model = build_koszul_model(ex31)
     k, g = next((k, g) for k, g in enumerate(ex31.generators) if len(g.support()) >= 2)
     mono, comp = canonical_a1_generators(ex31)[k]
-    block = [i for i in range(model.level_size(2)) if model.multidegree(2, i) == g]
-    model.d2[block[0]] = {comp * model.dim + model.r_basis.index[mono]: model.field.one}
-    with pytest.raises(RuntimeError, match="dependent mod im"):
+    d2 = block_at(model, g).d2
+    d2[next(iter(d2))] = {(comp, model.r_basis.index[mono]): 1}
+    with pytest.raises(InternalInvariantError, match="dependent mod im"):
         build_homology_algebra(model)
+
+
+def test_a1_a2_product_off_the_socle_raises(ex31, monkeypatch):
+    # a product landing on the unit monomial, which is no cycle of d3
+    monkeypatch.setattr(koszul, "wedge_12", lambda model, v1, v2: {0: model.field.one})
+    with pytest.raises(InternalInvariantError, match="not a cycle"):
+        build_homology_algebra(build_koszul_model(ex31))
 
 
 # ------------------------------------------------------------------- ranks
@@ -194,15 +215,16 @@ def test_product_well_defined_mod_boundaries(ex31):
     model = build_koszul_model(ex31)
     alg = build_homology_algebra(model)
     field = model.field
-    from trikoszul.linalg import SpanWithCoords
-
     solver = SpanWithCoords(field)
-    for u in sorted(model.d3):
-        solver.seed(model.d3[u])
+    for block in model.blocks:
+        if block.d3:
+            solver.seed(block.d3)
     for b, vec in enumerate(alg.a2):
         assert solver.add_tagged(vec, b)
-    # perturb the first A1 cycle by an image of d2 and re-multiply
-    boundary_col = model.d2[next(iter(sorted(model.d2)))]
+    # perturb the first A1 cycle by an image of d2 (that of the unit's e12
+    # cell) and re-multiply
+    unit = model.r_basis.index[Monomial(0, 0, 0)]
+    boundary_col = block_at(model, K2_DEGREES[0]).d2[(0, unit)]
     perturbed = dict(alg.a1[0])
     for k, s in boundary_col.items():
         v = field.add(perturbed.get(k, field.zero), s)
@@ -216,11 +238,117 @@ def test_product_well_defined_mod_boundaries(ex31):
         assert base == moved
 
 
+def test_class_outside_the_span_is_an_internal_error():
+    with pytest.raises(InternalInvariantError, match="not in the span"):
+        SpanWithCoords(QQ).express({(0, 0): QQ.one})
+
+
 def test_oracle_ranks_field_invariant(ex31, ex42):
-    for ideal in (ex31, ex42):
+    audit = [random_ideal(GeneratorConfig(seed=s)) for s in range(77, 137)]
+    for ideal in (ex31, ex42, *audit):
         alg_q = build_homology_algebra(build_koszul_model(ideal, QQ))
         alg_p = build_homology_algebra(build_koszul_model(ideal, GF32003))
         assert alg_q.dims == alg_p.dims
         assert rank_a1_squared(alg_q) == rank_a1_squared(alg_p)
         assert rank_a1_a2(alg_q) == rank_a1_a2(alg_p)
         assert rank_delta2(alg_q) == rank_delta2(alg_p)
+        rep_q, rep_p = classify(ideal, QQ), classify(ideal, GF32003)
+        for name in ("p", "q", "r", "rhat", "mu"):
+            assert getattr(rep_q, name) == getattr(rep_p, name), (str(ideal), name)
+        assert rep_q.cls.to_json() == rep_p.cls.to_json(), str(ideal)
+
+
+# sha256 of the stdout of `trikoszul homology I --show-tables` over qq and over
+# gf32003, first 16 hex digits, recorded with the earlier model that built the
+# global differentials d1, d2, d3.  The ideals are the shipped corpus (m^2 and
+# m^3 among them) and the audit sampler's ideals for seeds 77..116 at its
+# default settings.  The stdout prints the A1 labels, both multiplication
+# tables, the A2 basis and the socle, so the digests pin the A2 basis, its
+# signs and the order of its terms.
+FROZEN_HOMOLOGY_DIGESTS = [
+    ("x^3, x^2*y, y^3, z^3, x^2*z^2", "18afacba4d3669e2", "b1af4db7eb929fa5"),
+    ("x^3, y^3, z^3, y^2*z^2", "f113e36895f293da", "f113e36895f293da"),
+    ("x^3, y^3, z^3, x*y*z", "524b406b1566a862", "524b406b1566a862"),
+    (
+        "x^5, y^5, z^5, y^3*z^3, x*y^4*z^2, x*y^2*z^4",
+        "c77ed9d186b9014b",
+        "c77ed9d186b9014b",
+    ),
+    (
+        "x^6, y^6, z^6, x^3*y^2*z, x^2*y^3*z, x*y*z^3",
+        "8077c6cbb388488b",
+        "8077c6cbb388488b",
+    ),
+    ("x^6, y^6, z^6, x^3*z, y^3*z, x*y*z^3", "cc7600ca7b89f642", "59abbcc7b5bd437d"),
+    ("x^6, y^6, z^6, x^3*y^3, x^3*y^2*z", "2e87b2daad4bcbd7", "9555658a2aaa0983"),
+    (
+        "x^6, y^6, z^6, x^3*y^3, x^3*z^3, y^3*z^3, x*y*z^4",
+        "67767bc8945c84d0",
+        "67767bc8945c84d0",
+    ),
+    ("x^2, x*y, x*z, y^2, y*z, z^2", "9bd87e37716f3e9a", "9bd87e37716f3e9a"),
+    (
+        "x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3",
+        "0620f08f8297ff31",
+        "0620f08f8297ff31",
+    ),
+    ("x^3, y^3, z^3, x^2*z, y^2*z", "77139758bdd86456", "a757263ffef257b5"),
+    (
+        "x^4, y^4, z^4, x^3*z^2, x^2*y^2*z^2, y^3*z^2",
+        "f1faff3dca022ea9",
+        "20f457650c01de7b",
+    ),
+    ("x^4, y^4, z^4, x^3*y*z^2, x*y^3*z^2", "5ac8d217a023d627", "5ac8d217a023d627"),
+    ("x^3, y^3, z^3, y*z^2, y^2*z", "aca0b8760c5c4dc3", "aca0b8760c5c4dc3"),
+    ("x^2, y^2, z^5, y*z^3", "030c70e1dd86b5ce", "030c70e1dd86b5ce"),
+    ("x^6, y^6, z^4, x^5*y*z^3, y^3*z^2", "a50ae18ebf0dc97c", "a50ae18ebf0dc97c"),
+    ("x^5, y^4, z^6, x*y*z, x^3*y", "d67005a2f30f1f4d", "d67005a2f30f1f4d"),
+    ("x^2, y^2, z^3, x*y*z", "0877f26510a49f83", "0877f26510a49f83"),
+    ("x^3, y^6, z^4, x^2*y^4*z", "7d24352042c54d8e", "7d24352042c54d8e"),
+    ("x^5, y^6, z^4, x*y*z^2, x*z^3", "17ade60f97c976dd", "a45e7018509a6446"),
+    ("x^6, y^5, z^5, x^5*y^3", "9d2703b751c1c60c", "95c9de259e3d661c"),
+    ("x^4, y^2, z^2, x*y", "bf15c21976f0e226", "6b304502d70d2d64"),
+    ("x^4, y^2, z^5, x*z^2", "15b203e9fd5c275d", "10919c4ba1a1fd39"),
+    ("x^6, y^4, z^2, y^2*z", "990a2583f4367fd4", "990a2583f4367fd4"),
+    ("x^3, y^6, z^2, x*y^2*z, x^2*z", "de92a357b0570b5b", "f4c62278305dd967"),
+    ("x^3, y^6, z^5, x^2*z^3", "4fa738c7e37aef35", "7c0de0af7801edaa"),
+    ("x^6, y^4, z^3, x^3*y^2", "ffc0d79a6cb43b80", "bc22041ce1679f0d"),
+    ("x^2, y^2, z^6, x*z^3", "b6298e81e78494bd", "7a00f2dfe898f7a4"),
+    ("x^6, y^3, z^3, x^3*y*z^2", "6db043a022f0788b", "6db043a022f0788b"),
+    ("x^2, y^2, z^2, x*y, y*z, x*z", "58846fffae7aba8f", "58846fffae7aba8f"),
+    ("x^3, y^6, z^4, x*z^2", "8a90a8c93067e3f5", "faaa238fbe97d45b"),
+    ("x^5, y^4, z^3, x^2*y", "cba4d6efb38175df", "a23c93f135e21c31"),
+    ("x^4, y^5, z^4, x^2*y^2*z^2", "22be171c61ad322d", "22be171c61ad322d"),
+    ("x^6, y^2, z^6, x^3*y*z^3, x^2*z^5", "233daa7a0ba6f8b5", "9c535853be0c6009"),
+    ("x^5, y^4, z^2, y^2*z, x^3*z", "9ab98ec072cb7a32", "8f41abddb9ac5433"),
+    ("x^2, y^2, z^5, x*y, x*z^4, y*z", "70ab5d703a40896c", "70ab5d703a40896c"),
+    ("x^3, y^3, z^5, x^2*z^4, x*y^2*z^3", "a80de7e7a4e16ecb", "a80de7e7a4e16ecb"),
+    ("x^5, y^5, z^3, x^3*y^2*z, x^4*z^2", "23792208070140cd", "23792208070140cd"),
+    ("x^5, y^6, z^4, x*y^3*z^2", "705c8f72aebe61ed", "705c8f72aebe61ed"),
+    ("x^6, y^4, z^3, x^4*y*z, x^2*y^3*z^2", "12d60d8a38f053da", "12d60d8a38f053da"),
+    ("x^5, y^3, z^6, y^2*z^5, x^3*z^3", "43649a4e08a26908", "b42b2b236be7d43a"),
+    ("x^3, y^3, z^5, x*z", "9db86c9cb3c3a897", "5406c6a20f1d9dd1"),
+    ("x^2, y^6, z^5, x*y^2*z^4, y^4*z", "04bf285993b2f958", "04bf285993b2f958"),
+    ("x^2, y^2, z^4, x*y*z^2", "e6f2121b611a9fe6", "e6f2121b611a9fe6"),
+    ("x^6, y^6, z^5, x^3*y^2*z, x^3*y^4", "9a6e7f1807d32710", "47708d5facbee2cb"),
+    ("x^4, y^3, z^2, x*z, y^2*z", "4d815778a76b0ccb", "8985148135b0657c"),
+    ("x^5, y^5, z^3, x^3*y^2, x*z^2", "bddffb47c626b5ae", "0b2293c70584527f"),
+    ("x^6, y^2, z^3, x^3*z^2", "9c568f0196258a6e", "87a40a6aa3e056f9"),
+    ("x^4, y^3, z^6, x^3*y", "c681a5fb74c06624", "488d9b1f7acacf1f"),
+    ("x^6, y^2, z^2, x*y*z", "86906eb28d8736aa", "86906eb28d8736aa"),
+    ("x^4, y^2, z^5, x^2*z^3", "0398c1abe928bd04", "411e94e8bcc749be"),
+    ("x^2, y^5, z^5, y^4*z^4", "b65efe06fa66351a", "b65efe06fa66351a"),
+    ("x^3, y^2, z^6, y*z^4", "d937ce44a4b9052e", "d937ce44a4b9052e"),
+    ("x^3, y^4, z^4, x^2*y^2", "4d4ad2bd0adaa093", "e6201d8e1283391f"),
+]
+
+
+def test_homology_algebra_bytes_are_frozen(capsys):
+    changed = []
+    for text, want_qq, want_gf in FROZEN_HOMOLOGY_DIGESTS:
+        for field, want in (("qq", want_qq), ("gf32003", want_gf)):
+            assert main(["homology", text, "--show-tables", "--field", field]) == 0
+            out = capsys.readouterr().out
+            if hashlib.sha256(out.encode()).hexdigest()[:16] != want:
+                changed.append((text, field))
+    assert changed == []
