@@ -3,13 +3,15 @@ series, the canonical-module Betti oracle, family generators, and the
 conjecture audit.
 
 The classifier computes p and r twice -- structurally from the resolution
-and through the Koszul homology oracle -- and refuses to emit a class when
-the two routes disagree, since a disagreement would contradict the
-structure theorems and must surface loudly.
+and through the Koszul homology oracle -- and checks the multidegrees of
+Koszul H2 and H3 against the column degrees of f2 and f3.  It refuses to
+emit a class when the two routes disagree, since a disagreement would
+contradict the structure theorems and must surface loudly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FamilyConstraintError, NonGenericError, NotArtinianError
@@ -24,6 +26,7 @@ from .invariants import (
     _neg,
 )
 from .koszul import (
+    K3_DEGREE,
     build_homology_algebra,
     build_koszul_model,
     rank_a1_a2,
@@ -283,6 +286,20 @@ def classify(
         diagnostics.append(
             f"homology dims {alg.dims} disagree with resolution ranks {(n, m + n - 1, m)}"
         )
+    monos = model.r_basis.monomials
+    for level, homology, resolved in (
+        (2, alg.a2_degrees, res.f2.col_degrees),
+        (3, [monos[u].mul(K3_DEGREE) for u in alg.a3], res.f3.col_degrees),
+    ):
+        ours, theirs = Counter(homology), Counter(resolved)
+        differ = [mu for mu in ours.keys() | theirs.keys() if ours[mu] != theirs[mu]]
+        if differ:
+            # name the least multidegree, by total degree, then exponents
+            mu = min(differ, key=lambda m: (sum(m), m))
+            diagnostics.append(
+                f"H{level} multidegrees disagree at {Monomial(*mu)}: {ours[mu]} "
+                f"from the Koszul blocks, {theirs[mu]} columns of f{level}"
+            )
     if p_struct != p_oracle:
         diagnostics.append(
             f"structural p = {p_struct} disagrees with homology rank {p_oracle}"

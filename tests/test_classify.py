@@ -17,7 +17,7 @@ from trikoszul.classify import (
 )
 from trikoszul.errors import FamilyConstraintError, NonGenericError, NotArtinianError
 from trikoszul.generators import GeneratorConfig
-from trikoszul.monomials import format_ideal, is_generic, parse_ideal
+from trikoszul.monomials import Monomial, format_ideal, is_generic, parse_ideal
 from trikoszul.resolution import build_resolution, ordered_minimal_second_syzygies
 
 
@@ -63,6 +63,48 @@ def test_complete_intersection_passes_the_two_route_checks(ci2, monkeypatch):
     rep = classify(ci2)
     assert rep.cls.tag == "Unclassified"
     assert "structural p = 0 disagrees with homology rank 3" in rep.cls.reason
+
+
+def _moved_homology(monkeypatch, move):
+    """Make classify's homology algebra pass through move(alg) first."""
+    module = importlib.import_module("trikoszul.classify")
+    real = module.build_homology_algebra
+
+    def moved(model):
+        alg = real(model)
+        move(alg)
+        return alg
+
+    monkeypatch.setattr(module, "build_homology_algebra", moved)
+
+
+def test_h2_multidegree_mismatch_is_unclassified(ex31, monkeypatch):
+    # move one A2 class to another multidegree: the totals still agree, so
+    # only the multidegree comparison with f2 can see it
+    def move(alg):
+        assert alg.a2_degrees[0] == Monomial(3, 1, 0)
+        alg.a2_degrees[0] = Monomial(4, 1, 0)
+
+    _moved_homology(monkeypatch, move)
+    rep = classify(ex31)
+    assert rep.cls.tag == "Unclassified"
+    assert rep.cls.reason == (
+        "H2 multidegrees disagree at x^3*y: 0 from the Koszul blocks, 1 columns of f2"
+    )
+
+
+def test_h3_multidegree_mismatch_is_unclassified(ex31, monkeypatch):
+    # put the unit monomial in place of the first socle element: the A3 count
+    # holds, but its multidegree xyz is no column degree of f3
+    def move(alg):
+        alg.a3[0] = alg.model.r_basis.index[Monomial(0, 0, 0)]
+
+    _moved_homology(monkeypatch, move)
+    rep = classify(ex31)
+    assert rep.cls.tag == "Unclassified"
+    assert rep.cls.reason == (
+        "H3 multidegrees disagree at x*y*z: 1 from the Koszul blocks, 0 columns of f3"
+    )
 
 
 def test_classify_builds_the_staircase_once(ex31, monkeypatch):

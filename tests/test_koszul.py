@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from trikoszul.koszul import (
     truncated_exterior_check,
     wedge_11,
 )
-from trikoszul.linalg import SpanWithCoords
+from trikoszul.linalg import Echelon, SpanWithCoords
 from trikoszul.monomials import Monomial, parse_ideal
 
 
@@ -47,19 +48,21 @@ def test_model_m_squared(msquare):
     assert build_homology_algebra(model).dims == (6, 8, 3)
 
 
-def test_model_detects_corruption():
-    unit = Monomial(0, 0, 0)
-    # corrupt a column whose composition with d1 survives reduction mod I:
-    # the e12 column of the unit monomial, where d1 . d2 is the sum of signs
+def test_model_detects_corruption(monkeypatch):
     model = build_koszul_model(parse_ideal("x^3, y^3, z^3"))
     assert model.verify()
-    col = block_at(model, K2_DEGREES[0]).d2[(0, model.r_basis.index[unit])]
-    col[min(col)] += 1
+    # e12 -> x e2 + y e1: d1 . d2 no longer vanishes where mu is alive.  The
+    # block at mu = xy has a dead K3 cell, so only the d1 . d2 check sees it
+    bad_d2 = (((1, +1), (0, +1)),) + koszul._D2_TABLE[1:]
+    monkeypatch.setattr(koszul, "_D2_TABLE", bad_d2)
+    block = block_at(model, Monomial(1, 1, 0))
+    assert not block.mask >> koszul.K3_BIT & 1
+    assert not koszul.pattern_table(QQ)[block.mask].composes
     assert not model.verify()
-    # flip one sign of the d3 column of the unit: d2 . d3 no longer vanishes
-    model = build_koszul_model(parse_ideal("x^3, y^3, z^3"))
-    d3 = block_at(model, K3_DEGREE).d3
-    d3[min(d3)] *= -1
+    monkeypatch.undo()
+    # flip one sign of the d3 column: d2 . d3 no longer vanishes
+    assert model.verify()
+    monkeypatch.setattr(koszul, "_D3_SIGNS", (-1, -1, +1))
     assert not model.verify()
 
 
@@ -73,11 +76,106 @@ def test_model_d3_follows_mapping_table(msquare):
     model = build_koszul_model(msquare)
     index = model.r_basis.index
     block = block_at(model, K3_DEGREE)
-    assert block.k3 == index[Monomial(0, 0, 0)]
+    assert block.cells[koszul.K3_BIT] == index[Monomial(0, 0, 0)]
+    entry = koszul.pattern_table(model.field)[block.mask]
     z = index[Monomial(0, 0, 1)]
     y = index[Monomial(0, 1, 0)]
     x = index[Monomial(1, 0, 0)]
-    assert block.d3 == {(0, z): 1, (1, y): -1, (2, x): 1}
+    assert block.relabel(entry.d3, 2) == {(0, z): 1, (1, y): -1, (2, x): 1}
+
+
+# the mask bit of the cell mu / x_tau, for each face tau of {x, y, z} given
+# as a bit set over the variables
+_FACE_BIT = {
+    0b000: koszul.K0_BIT,
+    0b001: koszul.K1_BIT,
+    0b010: koszul.K1_BIT + 1,
+    0b100: koszul.K1_BIT + 2,
+    0b011: koszul.K2_BIT,
+    0b101: koszul.K2_BIT + 1,
+    0b110: koszul.K2_BIT + 2,
+    0b111: koszul.K3_BIT,
+}
+
+
+def realizable_masks() -> set[int]:
+    """The masks of the up-closed families of faces inside a support S:
+    mu / x_tau standard implies mu / x_sigma standard for tau within sigma
+    within the support of mu."""
+    masks = set()
+    for support in range(8):
+        faces = [f for f in range(8) if f & ~support == 0]
+        for chosen in range(1 << len(faces)):
+            family = {f for pos, f in enumerate(faces) if chosen >> pos & 1}
+            if all(g in family for f in family for g in faces if g & f == f):
+                masks.add(sum(1 << _FACE_BIT[f] for f in family))
+    return masks
+
+
+def test_d2_check_passes_on_every_realizable_mask(ex31, ex42, msquare):
+    realizable = realizable_masks()
+    for ideal in (ex31, ex42, msquare):
+        assert {block.mask for block in build_koszul_model(ideal).blocks} <= realizable
+    for field in (QQ, GF32003):
+        table = koszul.pattern_table(field)
+        assert all(table[mask].composes for mask in realizable)
+        # the check is not vacuous: it fails on unrealizable masks
+        failing = {mask for mask in range(256) if not table[mask].composes}
+        assert len(failing) == 117
+        assert not failing & realizable
+
+
+def test_pattern_ranks_and_image_flags_on_every_mask():
+    # recomputed by plain echelon ranks, away from the table's elimination
+    def rank_of(vectors):
+        ech = Echelon(QQ)
+        for v in vectors:
+            ech.insert(v)
+        return ech.rank
+
+    table = koszul.pattern_table(QQ)
+    for mask in range(256):
+        entry = table[mask]
+        cols = list(entry.d2.values())
+        rank = rank_of(cols)
+        assert entry.rank_d2 == rank == len(cols) - len(entry.kernel)
+        for t in range(3):
+            alive = mask >> (koszul.K1_BIT + t) & 1
+            unit_bounds = alive and rank_of(cols + [{t: 1}]) == rank
+            assert entry.in_image[t] == bool(unit_bounds), (mask, t)
+        if entry.composes:
+            # local H2 = ker d2 / im d3, and d3 is one nonzero column or none
+            assert len(entry.a2) == len(entry.kernel) - (1 if entry.d3 else 0)
+    # e12 alone on e1 (the K1 cell e2 dead): d2(e12) = -y e1 bounds e1
+    assert table[1 << koszul.K1_BIT | 1 << koszul.K2_BIT].in_image == (True, False, False)
+
+
+def test_kernel_basis_runs_only_per_pattern(monkeypatch):
+    # a fresh cache, so that the count does not depend on earlier tests
+    monkeypatch.setattr(koszul, "_PATTERN_TABLES", {})
+    real = koszul.kernel_basis
+    calls = []
+
+    def counting(columns, field):
+        calls.append(len(columns))
+        return real(columns, field)
+
+    monkeypatch.setattr(koszul, "kernel_basis", counting)
+    ideals = [random_ideal(GeneratorConfig(seed=s)) for s in range(77, 127)]
+    fields = (QQ, GF32003)
+    for field in fields:
+        for ideal in ideals:
+            classify(ideal, field)
+    masks = sum(
+        len({block.mask for ideal in ideals for block in build_koszul_model(ideal, field).blocks})
+        for field in fields
+    )
+    assert 0 < len(calls) <= 4 * masks
+    first = len(calls)
+    for field in fields:
+        for ideal in ideals:
+            classify(ideal, field)
+    assert len(calls) == first
 
 
 # ------------------------------------------------------------------- dims
@@ -134,14 +232,15 @@ def test_canonical_a1_generators_independent_mod_boundaries(ex31, ex42, staircas
         assert alg.dims[0] == ideal.n
 
 
-def test_a1_generator_in_boundaries_raises(ex31):
-    # overwrite a d2 column in a generator's multidegree with that generator's
-    # A1 cycle, which then bounds
+def test_a1_generator_in_boundaries_raises(ex31, monkeypatch):
+    # mark the generator's own A1 cell as a boundary in its block's pattern
     model = build_koszul_model(ex31)
     k, g = next((k, g) for k, g in enumerate(ex31.generators) if len(g.support()) >= 2)
-    mono, comp = canonical_a1_generators(ex31)[k]
-    d2 = block_at(model, g).d2
-    d2[next(iter(d2))] = {(comp, model.r_basis.index[mono]): 1}
+    _, comp = canonical_a1_generators(ex31)[k]
+    table = koszul.pattern_table(model.field)
+    mask = block_at(model, g).mask
+    in_image = tuple(t == comp for t in range(3))
+    monkeypatch.setitem(table, mask, replace(table[mask], in_image=in_image))
     with pytest.raises(InternalInvariantError, match="dependent mod im"):
         build_homology_algebra(model)
 
@@ -215,16 +314,19 @@ def test_product_well_defined_mod_boundaries(ex31):
     model = build_koszul_model(ex31)
     alg = build_homology_algebra(model)
     field = model.field
+    table = koszul.pattern_table(field)
     solver = SpanWithCoords(field)
     for block in model.blocks:
-        if block.d3:
-            solver.seed(block.d3)
+        d3 = table[block.mask].d3
+        if d3:
+            solver.seed(block.relabel(d3, 2))
     for b, vec in enumerate(alg.a2):
         assert solver.add_tagged(vec, b)
     # perturb the first A1 cycle by an image of d2 (that of the unit's e12
     # cell) and re-multiply
-    unit = model.r_basis.index[Monomial(0, 0, 0)]
-    boundary_col = block_at(model, K2_DEGREES[0]).d2[(0, unit)]
+    block = block_at(model, K2_DEGREES[0])
+    boundary_col = block.relabel(table[block.mask].d2[0], 1)
+    assert len(boundary_col) == 2
     perturbed = dict(alg.a1[0])
     for k, s in boundary_col.items():
         v = field.add(perturbed.get(k, field.zero), s)
